@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._validate import as_matrix, as_vector
 from .errors import (
@@ -91,6 +90,21 @@ class AffinityMatrix:
         return self.matrix.shape[0]
 
 
+def _average_ranks(data: np.ndarray) -> np.ndarray:
+    """Column-wise 1-based ranks; tied entries share the mean of their positions."""
+    order = np.argsort(data, axis=0, kind="stable")
+    ordered = np.take_along_axis(data, order, axis=0)
+    position = np.arange(data.shape[0])[:, None]
+    starts = np.ones(data.shape, dtype=bool)  # in sorted order: entry opens a tie group
+    starts[1:] = ordered[1:] != ordered[:-1]
+    ends = np.roll(starts, -1, axis=0)  # starts[0] is True, so the last entry closes one
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, position, position[-1])[::-1], axis=0)[::-1]
+    ranks = np.empty(data.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
+    return ranks
+
+
 def _spearman_matrix(data: np.ndarray) -> np.ndarray:
     """Pairwise Spearman correlations with average ranks for ties.
 
@@ -100,7 +114,7 @@ def _spearman_matrix(data: np.ndarray) -> np.ndarray:
     exactly and are snapped to +-1 rather than left one ulp short of it.
     """
     n = data.shape[0]
-    ranks = rankdata(data, method="average", axis=0)
+    ranks = _average_ranks(data)
     centered = ranks - (n + 1) / 2.0
     gram = centered.T @ centered
     diag = np.diagonal(gram)
@@ -140,23 +154,24 @@ def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix
     return AffinityMatrix(upper + upper.T, nonnegative=True, zero_diagonal=True)
 
 
-def build_dot_product_affinity(Q, K) -> AffinityMatrix | np.ndarray:
+def build_dot_product_affinity(Q, K, *, _checked: bool = False) -> AffinityMatrix | np.ndarray:
     """Raw pairwise scores A_ij = q_i . k_j.
 
     Returns an :class:`AffinityMatrix` when the result is square; a plain
     array otherwise (cross-attention, where queries and keys differ in
-    count). No guarantees are claimed about sign or diagonal.
+    count), and always with ``_checked=True``. No guarantees are claimed
+    about sign or diagonal.
     """
-    q = as_matrix(Q, "Q")
-    k = as_matrix(K, "K")
-    if q.shape[1] != k.shape[1]:
+    if not _checked:
+        Q, K = as_matrix(Q, "Q"), as_matrix(K, "K")
+    if Q.shape[1] != K.shape[1]:
         raise DimensionMismatch(
-            f"inner dimensions differ: Q is {q.shape}, K is {k.shape}"
+            f"inner dimensions differ: Q is {Q.shape}, K is {K.shape}"
         )
-    raw = q @ k.T
-    if raw.shape[0] == raw.shape[1]:
-        return AffinityMatrix(raw, nonnegative=False, zero_diagonal=False)
-    return raw
+    raw = Q @ K.T
+    if _checked or raw.shape[0] != raw.shape[1]:
+        return raw
+    return AffinityMatrix(raw, nonnegative=False, zero_diagonal=False)
 
 
 def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
@@ -174,29 +189,28 @@ def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
     return AffinityMatrix(np.exp(-sq_dist / (h * h)), nonnegative=True, zero_diagonal=False)
 
 
-def build_gat_scores(H, W, a, slope: float = 0.2) -> np.ndarray:
+def build_gat_scores(H, W, a, slope: float = 0.2, *, _checked: bool = False) -> np.ndarray:
     """Concatenation scorer e_ij = LeakyReLU(a . [W h_i, W h_j]).
 
     Returns raw scores for every ordered pair; neighborhood masking is
     the normalizer's job. The scorer splits into a source and a target
     half, so the full matrix is one outer sum of two projected vectors.
     """
-    h = as_matrix(H, "H")
-    w = as_matrix(W, "W")
-    avec = as_vector(a, "a")
-    if w.shape[0] != h.shape[1]:
+    if not _checked:
+        H, W, a = as_matrix(H, "H"), as_matrix(W, "W"), as_vector(a, "a")
+    if W.shape[0] != H.shape[1]:
         raise DimensionMismatch(
-            f"W rows ({w.shape[0]}) must match H columns ({h.shape[1]})"
+            f"W rows ({W.shape[0]}) must match H columns ({H.shape[1]})"
         )
-    f_out = w.shape[1]
-    if avec.shape[0] != 2 * f_out:
+    f_out = W.shape[1]
+    if a.shape[0] != 2 * f_out:
         raise DimensionMismatch(
-            f"scorer vector has length {avec.shape[0]}, expected {2 * f_out}"
+            f"scorer vector has length {a.shape[0]}, expected {2 * f_out}"
         )
     if not 0.0 < slope < 1.0:
         raise ValueError(f"LeakyReLU slope must lie in (0, 1), got {slope}")
-    projected = h @ w
-    src = projected @ avec[:f_out]
-    dst = projected @ avec[f_out:]
+    projected = H @ W
+    src = projected @ a[:f_out]
+    dst = projected @ a[f_out:]
     scores = src[:, None] + dst[None, :]
     return np.where(scores >= 0, scores, slope * scores)

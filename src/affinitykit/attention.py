@@ -4,6 +4,11 @@ Scaled dot-product attention, multi-head attention, the non-local block
 in its embedded-Gaussian and dot-product variants, and the graph
 attention layer. All parameters are caller-supplied inputs; nothing here
 is trained.
+
+Each entry point checks its arguments once, then calls the stage
+functions with ``_checked=True`` so no N x N score or weight matrix is
+scanned again. A score product that overflows shows in the N x d
+output, which is scanned instead.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from ._validate import as_matrix, as_vector
-from .affinity import AffinityMatrix, build_dot_product_affinity, build_gat_scores
-from .errors import DimensionMismatch
+from .affinity import build_dot_product_affinity, build_gat_scores
+from .errors import DimensionMismatch, NonFiniteInput
 from .normalize import NeighborhoodMask, masked_softmax_rows, scale_scores, softmax_rows
 from .propagate import single_hop_aggregate
 
@@ -106,6 +111,20 @@ class GatParams:
         object.__setattr__(self, "a", a)
 
 
+def _aggregate(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = single_hop_aggregate(weights, values, _checked=True)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteInput("attention output is not finite: a score or weighted sum overflowed")
+    return out
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: bool) -> np.ndarray:
+    scores = build_dot_product_affinity(q, k, _checked=True)
+    if scale:
+        scores = scale_scores(scores, q.shape[1], _checked=True)
+    return _aggregate(softmax_rows(scores, _checked=True), v)
+
+
 def attention(Q, K, V, scale: bool = True) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) V, the scaled dot-product attention.
 
@@ -113,19 +132,12 @@ def attention(Q, K, V, scale: bool = True) -> np.ndarray:
     only the inner width must match. Every output coordinate is a convex
     combination of the corresponding V column.
     """
-    q = as_matrix(Q, "Q")
-    k = as_matrix(K, "K")
-    v = as_matrix(V, "V")
+    q, k, v = as_matrix(Q, "Q"), as_matrix(K, "K"), as_matrix(V, "V")
     if k.shape[0] != v.shape[0]:
         raise DimensionMismatch(
             f"K has {k.shape[0]} rows but V has {v.shape[0]}"
         )
-    scores = build_dot_product_affinity(q, k)
-    if isinstance(scores, AffinityMatrix):
-        scores = scores.matrix
-    if scale:
-        scores = scale_scores(scores, q.shape[1])
-    return single_hop_aggregate(softmax_rows(scores), v)
+    return _attention(q, k, v, scale)
 
 
 def multi_head_attention(X, cfg: AttentionConfig, proj: ProjectionSet) -> np.ndarray:
@@ -139,21 +151,19 @@ def multi_head_attention(X, cfg: AttentionConfig, proj: ProjectionSet) -> np.nda
         raise DimensionMismatch(
             f"projection set has {proj.heads} heads, config expects {cfg.heads}"
         )
-    for wq, wk, wv in zip(proj.wq, proj.wk, proj.wv):
-        for mat in (wq, wk, wv):
-            if mat.shape != (cfg.d_model, cfg.d_k):
-                raise DimensionMismatch(
-                    f"per-head projection must be {cfg.d_model} x {cfg.d_k}, got {mat.shape}"
-                )
+    for mat in (*proj.wq, *proj.wk, *proj.wv):
+        if mat.shape != (cfg.d_model, cfg.d_k):
+            raise DimensionMismatch(
+                f"per-head projection must be {cfg.d_model} x {cfg.d_k}, got {mat.shape}"
+            )
     if proj.wout.shape != (cfg.heads * cfg.d_k, cfg.d_model):
         raise DimensionMismatch(
             f"wout must be {cfg.heads * cfg.d_k} x {cfg.d_model}, got {proj.wout.shape}"
         )
-    head_outputs = [
-        attention(x @ wq, x @ wk, x @ wv, scale=cfg.scale)
+    return np.hstack([
+        _attention(x @ wq, x @ wk, x @ wv, cfg.scale)
         for wq, wk, wv in zip(proj.wq, proj.wk, proj.wv)
-    ]
-    return np.hstack(head_outputs) @ proj.wout
+    ]) @ proj.wout
 
 
 def non_local_block(
@@ -169,17 +179,14 @@ def non_local_block(
     attention on the projected inputs.
     """
     x = as_matrix(X, "X")
-    theta = x @ proj.wtheta
-    phi = x @ proj.wphi
-    g = x @ proj.wg
-    scores = theta @ phi.T
+    scores = build_dot_product_affinity(x @ proj.wtheta, x @ proj.wphi, _checked=True)
     if variant == "embedded_gaussian":
-        weights = softmax_rows(scores)
+        weights = softmax_rows(scores, _checked=True)
     elif variant == "dot_product":
         weights = scores / x.shape[0]
     else:
         raise ValueError(f"unknown non-local variant: {variant!r}")
-    y = single_hop_aggregate(weights, g)
+    y = _aggregate(weights, x @ proj.wg)
     if proj.wz is not None:
         y = y @ proj.wz
     if y.shape != x.shape:
@@ -187,6 +194,13 @@ def non_local_block(
             f"residual add needs output shape {x.shape}, got {y.shape}"
         )
     return x + y
+
+
+def _gat_layer(h: np.ndarray, params: GatParams, mask: NeighborhoodMask, activation) -> np.ndarray:
+    scores = build_gat_scores(h, params.w, params.a, params.slope, _checked=True)
+    weights = masked_softmax_rows(scores, mask, _checked=True)
+    out = _aggregate(weights, h @ params.wprime)
+    return activation(out) if activation is not None else out
 
 
 def gat_layer(
@@ -200,11 +214,7 @@ def gat_layer(
     The output nonlinearity defaults to the identity so structural
     equivalences stay exact; pass ``activation`` to opt in.
     """
-    h = as_matrix(H, "H")
-    scores = build_gat_scores(h, params.w, params.a, params.slope)
-    weights = masked_softmax_rows(scores, mask)
-    out = single_hop_aggregate(weights, h @ params.wprime)
-    return activation(out) if activation is not None else out
+    return _gat_layer(as_matrix(H, "H"), params, mask, activation)
 
 
 def multi_head_gat(
@@ -217,7 +227,8 @@ def multi_head_gat(
     """Several GAT heads joined along features or averaged."""
     if not params:
         raise ValueError("at least one head is required")
-    outputs = [gat_layer(H, p, mask, activation) for p in params]
+    h = as_matrix(H, "H")
+    outputs = [_gat_layer(h, p, mask, activation) for p in params]
     if mode == "concat":
         return np.hstack(outputs)
     if mode == "average":

@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,12 +73,7 @@ class RunConfig:
     tolerance: float | None = None
 
     def __post_init__(self):
-        if self.command not in ("rank", "select", "attend", "verify"):
-            raise InputError(f"unknown command {self.command!r}")
-        if self.format not in ("json", "csv"):
-            raise InputError(f"format must be json or csv, got {self.format!r}")
-        if self.method not in ("inffs", "ec", "pagerank"):
-            raise InputError(f"method must be inffs, ec or pagerank, got {self.method!r}")
+        # argparse enforces choices and required options; these are the ranges.
         if not 0.0 < self.alpha_fraction < 1.0:
             raise InputError(
                 f"alpha-fraction must lie strictly inside (0, 1) so that "
@@ -90,18 +85,14 @@ class RunConfig:
             raise InputError(f"damping must lie in (0, 1), got {self.damping}")
         if self.truncation is not None and self.truncation < 1:
             raise InputError(f"truncation must be at least 1, got {self.truncation}")
-        if self.command == "select" and (self.k is None or self.k < 1):
+        if self.k is not None and self.k < 1:
             raise InputError("select requires a positive --k")
-        if self.command == "attend" and self.heads < 1:
+        if self.heads < 1:
             raise InputError(f"attend requires at least one head, got {self.heads}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.tolerance is not None and not self.tolerance > 0:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
-        if self.command in ("rank", "select", "attend") and not self.input_path:
-            raise InputError(f"{self.command} requires --input")
-        if self.command == "attend" and self.format == "csv":
-            raise InputError("attend emits a JSON report; csv format is not supported")
 
 
 def _parse_cell(token: str, line: int, column: int) -> float:
@@ -119,8 +110,13 @@ def _parse_cell(token: str, line: int, column: int) -> float:
 
 
 def _read_rows(path: str) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+    # utf-8-sig drops a byte-order mark, which would otherwise prefix the first name.
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path} contains no rows")
     return rows
@@ -178,8 +174,8 @@ def _score_features(cfg: RunConfig, ds: FeatureDataset):
     return cv.values, None, None
 
 
-def _ranking_payload(cfg: RunConfig, ranking: RankingResult, alpha, rho, k: int | None):
-    indices = select_top_k(ranking, k) if k is not None else [int(i) for i in ranking.order]
+def _ranking_payload(cfg: RunConfig, ranking: RankingResult, alpha, rho):
+    indices = select_top_k(ranking, cfg.k) if cfg.k is not None else [int(i) for i in ranking.order]
     entries = [
         {
             "name": ranking.feature_names[i],
@@ -203,19 +199,11 @@ def _serialize_scores(payload: dict, fmt: str) -> str:
 
 
 def run_rank(cfg: RunConfig) -> str:
-    """Score, rank and serialize every feature of the input table."""
+    """Score, rank and serialize the table's features; ``select`` keeps the top ``cfg.k``."""
     ds = load_csv(cfg.input_path, header=not cfg.no_header)
     scores, alpha, rho = _score_features(cfg, ds)
     ranking = rank(scores, ds.feature_names)
-    return _serialize_scores(_ranking_payload(cfg, ranking, alpha, rho, None), cfg.format)
-
-
-def run_select(cfg: RunConfig) -> str:
-    """Like rank, but keep only the top-k entries."""
-    ds = load_csv(cfg.input_path, header=not cfg.no_header)
-    scores, alpha, rho = _score_features(cfg, ds)
-    ranking = rank(scores, ds.feature_names)
-    return _serialize_scores(_ranking_payload(cfg, ranking, alpha, rho, cfg.k), cfg.format)
+    return _serialize_scores(_ranking_payload(cfg, ranking, alpha, rho), cfg.format)
 
 
 def _seeded_projections(gen: Lcg, d_model: int, heads: int, d_k: int) -> ProjectionSet:
@@ -280,67 +268,43 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="affinitykit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    p_rank = sub.add_parser("rank", help="score and rank all features")
+    p_select = sub.add_parser("select", help="rank and keep the top-k features")
+    p_attend = sub.add_parser("attend", help="seeded multi-head attention demo")
+    p_verify = sub.add_parser("verify", help="run the equivalence property suite")
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, help="input CSV path")
-            p.add_argument("--no-header", action="store_true", help="input has no header row")
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-
-    def add_ranking_opts(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--method", choices=("inffs", "ec", "pagerank"), default="inffs")
-        p.add_argument("--alpha-fraction", type=float, default=0.5,
-                       help="alpha as a fraction of 1/rho (default 0.5)")
-        p.add_argument("--beta", type=float, default=0.5,
-                       help="variance vs correlation mix in [0, 1] (default 0.5)")
-        p.add_argument("--damping", type=float, default=0.85,
-                       help="PageRank damping in (0, 1) (default 0.85)")
+    for p in (p_rank, p_select, p_attend):
+        p.add_argument("--input", dest="input_path", metavar="PATH", required=True,
+                       help="input CSV path")
+        p.add_argument("--no-header", action="store_true", help="input has no header row")
+    for p in (p_rank, p_select, p_attend, p_verify):
+        p.add_argument("--output", dest="output_path", metavar="PATH",
+                       help="write the report here instead of stdout")
+        p.add_argument("--seed", type=int, default=RunConfig.seed,
+                       help="RNG seed (default %(default)s)")
+    for p in (p_rank, p_select):
+        p.add_argument("--format", choices=("json", "csv"), default=RunConfig.format)
+        p.add_argument("--method", choices=("inffs", "ec", "pagerank"), default=RunConfig.method)
+        p.add_argument("--beta", type=float, default=RunConfig.beta,
+                       help="variance vs correlation mix in [0, 1] (default %(default)s)")
+        p.add_argument("--damping", type=float, default=RunConfig.damping,
+                       help="PageRank damping in (0, 1) (default %(default)s)")
         p.add_argument("--truncation", type=int,
                        help="truncate the path series at this length instead of the closed form")
-
-    p_rank = sub.add_parser("rank", help="score and rank all features")
-    add_common(p_rank)
-    add_ranking_opts(p_rank)
-
-    p_select = sub.add_parser("select", help="rank and keep the top-k features")
-    add_common(p_select)
-    add_ranking_opts(p_select)
+    for p in (p_rank, p_select, p_verify):
+        p.add_argument("--alpha-fraction", type=float, default=RunConfig.alpha_fraction,
+                       help="alpha as a fraction of 1/rho (default %(default)s)")
     p_select.add_argument("--k", type=int, required=True, help="number of features to keep")
-
-    p_attend = sub.add_parser("attend", help="seeded multi-head attention demo")
-    add_common(p_attend)
-    p_attend.add_argument("--heads", type=int, default=1, help="attention heads (default 1)")
-    p_attend.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_verify = sub.add_parser("verify", help="run the equivalence property suite")
-    add_common(p_verify, with_input=False)
-    p_verify.add_argument("--alpha-fraction", type=float, default=0.5,
-                          help="alpha as a fraction of 1/rho (default 0.5)")
-    p_verify.add_argument("--tolerance", type=float,
-                          help="override every property tolerance")
+    p_attend.add_argument("--heads", type=int, default=RunConfig.heads,
+                          help="attention heads (default %(default)s)")
+    p_verify.add_argument("--tolerance", type=float, help="override every property tolerance")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "command": args.command,
-        "input_path": getattr(args, "input", None),
-        "output_path": getattr(args, "output", None),
-        "format": getattr(args, "format", "json"),
-        "method": getattr(args, "method", "inffs"),
-        "alpha_fraction": getattr(args, "alpha_fraction", 0.5),
-        "beta": getattr(args, "beta", 0.5),
-        "damping": getattr(args, "damping", 0.85),
-        "truncation": getattr(args, "truncation", None),
-        "k": getattr(args, "k", None),
-        "heads": getattr(args, "heads", 1),
-        "seed": getattr(args, "seed", 0),
-        "no_header": getattr(args, "no_header", False),
-        "tolerance": getattr(args, "tolerance", None),
-    }
-    return RunConfig(**fields)
+    # Options a subcommand lacks are absent from ``args`` and keep the RunConfig default.
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def _emit(report: str, output_path: str | None):
@@ -353,24 +317,25 @@ def _emit(report: str, output_path: str | None):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-        if cfg.command == "verify":
-            report, passed, first_failure = run_verify(cfg)
-            _emit(report, cfg.output_path)
-            if not passed:
-                print(f"verification failed: {first_failure}", file=sys.stderr)
-                return EXIT_VERIFY_FAILED
+    # Overflow surfaces as a stage's own error line, never as a numpy warning on stderr.
+    with np.errstate(all="ignore"):
+        try:
+            cfg = _config_from_args(args)
+            if cfg.command == "verify":
+                report, passed, first_failure = run_verify(cfg)
+                _emit(report, cfg.output_path)
+                if not passed:
+                    print(f"verification failed: {first_failure}", file=sys.stderr)
+                    return EXIT_VERIFY_FAILED
+                return EXIT_OK
+            _emit(run_attend(cfg) if cfg.command == "attend" else run_rank(cfg), cfg.output_path)
             return EXIT_OK
-        runner = {"rank": run_rank, "select": run_select, "attend": run_attend}[cfg.command]
-        _emit(runner(cfg), cfg.output_path)
-        return EXIT_OK
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
-    except (InputError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        except NumericError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC_ERROR
+        except (InputError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

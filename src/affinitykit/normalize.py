@@ -70,38 +70,35 @@ class AlphaScaling:
             )
 
 
-def softmax_rows(S) -> np.ndarray:
+def softmax_rows(S, *, _checked: bool = False) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety."""
-    scores = as_matrix(S, "scores")
+    scores = S if _checked else as_matrix(S, "scores")
     shifted = scores - scores.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def scale_scores(S, d_k: int) -> np.ndarray:
+def scale_scores(S, d_k: int, *, _checked: bool = False) -> np.ndarray:
     """Divide every score by sqrt(d_k)."""
-    scores = as_matrix(S, "scores")
+    scores = S if _checked else as_matrix(S, "scores")
     if int(d_k) != d_k or d_k < 1:
         raise ValueError(f"d_k must be a positive integer, got {d_k}")
     return scores / math.sqrt(d_k)
 
 
-def masked_softmax_rows(S, mask: NeighborhoodMask) -> np.ndarray:
+def masked_softmax_rows(S, mask: NeighborhoodMask, *, _checked: bool = False) -> np.ndarray:
     """Row softmax restricted to each row's allowed neighborhood.
 
     Disallowed scores are treated as -inf before exponentiation, so the
     corresponding weights are exactly zero and every row remains a true
     softmax over its neighborhood.
     """
-    scores = as_matrix(S, "scores")
+    scores = S if _checked else as_matrix(S, "scores")
     if mask.allowed.shape != scores.shape:
         raise DimensionMismatch(
             f"mask shape {mask.allowed.shape} does not match scores {scores.shape}"
         )
-    neighborhood = np.where(mask.allowed, scores, -np.inf)
-    shifted = neighborhood - neighborhood.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return softmax_rows(np.where(mask.allowed, scores, -np.inf), _checked=True)
 
 
 def sym_degree_normalize(A: AffinityMatrix) -> np.ndarray:

@@ -70,15 +70,15 @@ class CentralityVector:
         object.__setattr__(self, "values", vals)
 
 
-def single_hop_aggregate(W, V) -> np.ndarray:
+def single_hop_aggregate(W, V, *, _checked: bool = False) -> np.ndarray:
     """One hop of weighted aggregation: Z = W V."""
-    weights = as_matrix(W, "W")
-    values = as_matrix(V, "V")
-    if weights.shape[1] != values.shape[0]:
+    if not _checked:
+        W, V = as_matrix(W, "W"), as_matrix(V, "V")
+    if W.shape[1] != V.shape[0]:
         raise DimensionMismatch(
-            f"W is {weights.shape} but V has {values.shape[0]} rows"
+            f"W is {W.shape} but V has {V.shape[0]} rows"
         )
-    return weights @ values
+    return W @ V
 
 
 def power_series_truncated(A: AffinityMatrix, alpha: float, L: int) -> PathSum:

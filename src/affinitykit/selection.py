@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch, KOutOfRange, NonFiniteScores
 
@@ -65,14 +64,18 @@ class GateVector:
         return self.params.shape[0]
 
 
+def _logistic(p: np.ndarray) -> np.ndarray:
+    """sigmoid(p) = 1 / (1 + exp(-p)), exponentiating only -|p| so nothing overflows."""
+    e = np.exp(-np.abs(p))
+    return np.where(p >= 0, 1.0, e) / (1.0 + e)
+
+
 def rank(scores, names=None) -> RankingResult:
     """Deterministic descending ranking, ties broken by ascending index."""
     vec = np.asarray(scores, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError("scores must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteScores("scores contain NaN or infinite values")
-    order = np.argsort(-vec, kind="stable")
+    order = np.argsort(-vec, kind="stable")  # RankingResult rejects non-finite scores
     return RankingResult(vec, order, tuple(names) if names is not None else None)
 
 
@@ -93,7 +96,7 @@ def gate_forward(x, g: GateVector) -> np.ndarray:
     vec = np.asarray(x, dtype=float)
     if vec.shape != g.params.shape:
         raise DimensionMismatch(f"x has shape {vec.shape}, gate has {g.params.shape}")
-    return expit(g.params) * vec
+    return _logistic(g.params) * vec
 
 
 def gate_gradient(x, g: GateVector, upstream) -> np.ndarray:
@@ -106,7 +109,7 @@ def gate_gradient(x, g: GateVector, upstream) -> np.ndarray:
     up = np.asarray(upstream, dtype=float)
     if vec.shape != g.params.shape or up.shape != g.params.shape:
         raise DimensionMismatch("x, upstream and gate parameters must share one length")
-    s = expit(g.params)
+    s = _logistic(g.params)
     return up * vec * s * (1.0 - s)
 
 

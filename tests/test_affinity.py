@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.stats import rankdata
 
 import affinitykit as ak
+from affinitykit.affinity import _average_ranks
 
 
 def make_ds(*columns, names=None):
@@ -130,6 +132,28 @@ class TestCorrAffinity:
     def test_single_feature_rejected(self):
         with pytest.raises(ak.EmptyDataset):
             ak.build_corr_affinity(make_ds([1, 2, 3]))
+
+
+def _rank_columns(n):
+    """One column of n entries: tied small integers, floats, or a constant."""
+    small_ints = st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)
+    floats = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+    constants = st.floats(-1e6, 1e6).map(lambda value: [value] * n)
+    return st.one_of(small_ints, floats, constants)
+
+
+class TestAverageRanks:
+    @given(
+        st.integers(2, 25).flatmap(
+            lambda n: st.lists(_rank_columns(n), min_size=1, max_size=6)
+        )
+    )
+    @example([[1.0, 1.0]])
+    @example([[2.0, 1.0], [0.5, 0.5], [-0.0, 0.0]])
+    @settings(max_examples=200)
+    def test_equals_scipy_average_ranks(self, columns):
+        data = np.array(columns).T
+        assert_array_equal(_average_ranks(data), rankdata(data, method="average", axis=0))
 
 
 class TestDotProductAffinity:

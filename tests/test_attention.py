@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -263,3 +264,72 @@ class TestMultiHeadGat:
             ak.multi_head_gat(h, [], mask)
         with pytest.raises(ValueError):
             ak.multi_head_gat(h, [self._params(rng)], mask, mode="sum")
+
+
+# Boundary checks: every attention-family entry point validates its own
+# arguments, since the stages it calls no longer re-check them.
+BOUNDARY_X = np.random.default_rng(21).normal(size=(5, 4))
+NAN_X = np.where(np.arange(20).reshape(5, 4) == 6, np.nan, BOUNDARY_X)
+HUGE_X = np.full((5, 4), 1e308)  # finite, but every score product overflows
+FULL_MASK = ak.NeighborhoodMask.full(5)
+MHA_CFG = ak.AttentionConfig(d_model=4, heads=2, d_k=2)
+MHA_PROJ = ak.ProjectionSet(
+    *(tuple(np.full((4, 2), 0.5) for _ in range(2)) for _ in range(3)), np.eye(4)
+)
+NL_PROJ = ak.NonLocalProjections(np.eye(4), np.eye(4), np.eye(4))
+NL_PROJ_MISMATCHED = ak.NonLocalProjections(np.ones((4, 2)), np.ones((4, 3)), np.eye(4))
+
+
+def gat_params(f_in=4):
+    return ak.GatParams(np.full((f_in, 2), 0.5), np.full((f_in, 2), 0.5), np.ones(4))
+
+
+ENTRY_POINTS = {
+    "attention": lambda x: ak.attention(x, x, x),
+    "multi_head_attention": lambda x: ak.multi_head_attention(x, MHA_CFG, MHA_PROJ),
+    "non_local_block": lambda x: ak.non_local_block(x, NL_PROJ),
+    "gat_layer": lambda x: ak.gat_layer(x, gat_params(), FULL_MASK),
+    "multi_head_gat": lambda x: ak.multi_head_gat(x, [gat_params(), gat_params()], FULL_MASK),
+}
+
+BOUNDARY_CASES = [
+    *((f"{name}-nan", call, NAN_X, ak.NonFiniteInput) for name, call in ENTRY_POINTS.items()),
+    *((f"{name}-overflow", call, HUGE_X, ak.NonFiniteInput) for name, call in ENTRY_POINTS.items()),
+    ("attention-qk-width", lambda x: ak.attention(x, x[:, :3], x), BOUNDARY_X, ak.DimensionMismatch),
+    ("non_local_block-theta-phi-width", lambda x: ak.non_local_block(x, NL_PROJ_MISMATCHED),
+     BOUNDARY_X, ak.DimensionMismatch),
+    ("gat_layer-mask-shape", lambda x: ak.gat_layer(x, gat_params(), ak.NeighborhoodMask.full(4)),
+     BOUNDARY_X, ak.DimensionMismatch),
+    ("multi_head_gat-mask-shape",
+     lambda x: ak.multi_head_gat(x, [gat_params()], ak.NeighborhoodMask.full(4)),
+     BOUNDARY_X, ak.DimensionMismatch),
+    ("gat_layer-h-width", lambda x: ak.gat_layer(x, gat_params(f_in=3), FULL_MASK),
+     BOUNDARY_X, ak.DimensionMismatch),
+    ("multi_head_gat-h-width", lambda x: ak.multi_head_gat(x, [gat_params(f_in=3)], FULL_MASK),
+     BOUNDARY_X, ak.DimensionMismatch),
+]
+
+
+@pytest.mark.parametrize(
+    "call, x, error", [case[1:] for case in BOUNDARY_CASES], ids=[case[0] for case in BOUNDARY_CASES]
+)
+def test_entry_point_rejects_bad_arguments(call, x, error):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+        call(x)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_scans_no_square_matrix(name, monkeypatch):
+    # N = 5 rows against width 4: only an N x N score or weight matrix is 5 x 5.
+    scanned = []
+    for stage in ("affinity", "attention", "normalize", "propagate"):
+        module = sys.modules[f"affinitykit.{stage}"]
+        original = module.as_matrix
+
+        def recording(value, label="matrix", _original=original):
+            scanned.append(np.shape(value))
+            return _original(value, label)
+
+        monkeypatch.setattr(module, "as_matrix", recording)
+    ENTRY_POINTS[name](BOUNDARY_X)
+    assert scanned and (5, 5) not in scanned

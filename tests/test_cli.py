@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import affinitykit as ak
-from affinitykit.cli import RunConfig, load_csv, load_matrix_csv, run_rank
+from affinitykit.cli import RunConfig, load_csv, load_matrix_csv, main, run_rank
 
 DATA = Path(__file__).parent / "data"
 CORR_FIXTURE = DATA / "corr_fixture.csv"
@@ -87,6 +87,23 @@ class TestLoadCsv:
     def test_matrix_loader_skips_header(self):
         x = load_matrix_csv(str(TOKENS_FIXTURE), header=True)
         assert x.shape == (4, 4)
+
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,c\n1,2,3\n2,1,4\n3,3,1\n4,5,2\n")
+        assert load_csv(str(path)).feature_names == ("a", "b", "c")
+        assert main(["rank", "--input", str(path)]) == 0
+        names = {e["name"] for e in json.loads(capsys.readouterr().out)["scores"]}
+        assert names == {"a", "b", "c"}
+
+    def test_oversized_field_is_one_line_input_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1,2\n3," + "9" * 131073 + "\n5,6\n")
+        assert main(["rank", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "long.csv, line 3" in captured.err
 
 
 class TestRankCommand:
@@ -260,6 +277,14 @@ class TestVerifyCommand:
         assert len(result.stderr.strip().splitlines()) == 1
 
 
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        probe = "import sys, affinitykit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+
 class TestErrorReporting:
     def test_missing_file(self):
         result = run_cli("rank", "--input", "does_not_exist.csv")
@@ -279,6 +304,14 @@ class TestErrorReporting:
         path.write_text("a\n1\n2\n")
         result = run_cli("rank", "--input", str(path))
         assert result.returncode == 2
+
+    def test_overflowing_tokens_are_one_line_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b\n1e308,1e308\n1e308,-1e308\n")
+        result = run_cli("attend", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.strip().splitlines()) == 1
 
     def test_unknown_flag_is_one_line(self):
         result = run_cli("rank", "--bogus")

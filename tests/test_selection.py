@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
 
 import affinitykit as ak
-from affinitykit.selection import GateVector
+from affinitykit.selection import GateVector, _logistic
 
 
 def fd_gate_gradient(x, params, upstream, step=1e-6):
@@ -96,6 +98,28 @@ class TestSelectTopK:
     def test_k_out_of_range(self, k):
         with pytest.raises(ak.KOutOfRange):
             ak.select_top_k(ak.rank([1.0, 2.0, 3.0]), k)
+
+
+class TestLogistic:
+    def test_within_four_ulp_of_scipy_without_warnings(self):
+        p = np.linspace(-700.0, 700.0, 200_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = _logistic(p)
+        expected = expit(p)
+        assert np.all(np.abs(ours - expected) <= 4 * np.spacing(expected))
+
+    @given(st.floats(-700.0, 700.0))
+    @settings(max_examples=300)
+    def test_within_four_ulp_at_any_point(self, p):
+        expected = expit(np.float64(p))
+        assert abs(_logistic(np.array([p]))[0] - expected) <= 4 * np.spacing(expected)
+
+    def test_saturates_exactly_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _logistic(np.array([-1e308, 1e308]))
+        assert out.tolist() == [0.0, 1.0]
 
 
 class TestGateForward:
