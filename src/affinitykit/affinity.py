@@ -105,6 +105,16 @@ def _average_ranks(data: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _column_std(data: np.ndarray) -> np.ndarray:
+    """``data.std(axis=0)`` on columns scaled by a power of two into (-1, 1), so it cannot overflow.
+
+    The scaling is exact, so the result is bit-identical to the plain std
+    wherever that neither overflows nor underflows.
+    """
+    _, exponent = np.frexp(np.maximum(data.max(axis=0), -data.min(axis=0)))
+    return np.ldexp(np.ldexp(data, -exponent).std(axis=0), exponent)
+
+
 def _spearman_matrix(data: np.ndarray) -> np.ndarray:
     """Pairwise Spearman correlations with average ranks for ties.
 
@@ -143,7 +153,7 @@ def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if ds.n_features < 2:
         raise EmptyDataset("affinity needs at least 2 features")
-    sigma = ds.data.std(axis=0)
+    sigma = _column_std(ds.data)
     sigma_max = sigma.max()
     sigma_hat = sigma / sigma_max if sigma_max > 0 else np.zeros_like(sigma)
     var_term = np.maximum.outer(sigma_hat, sigma_hat)

@@ -20,8 +20,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,54 +45,12 @@ from .propagate import (
     power_series_truncated,
 )
 from .rng import Lcg
-from .selection import RankingResult, rank, select_top_k
+from .selection import rank, select_top_k
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of one invocation's options."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    format: str = "json"
-    method: str = "inffs"
-    alpha_fraction: float = 0.5
-    beta: float = 0.5
-    damping: float = 0.85
-    truncation: int | None = None
-    k: int | None = None
-    heads: int = 1
-    seed: int = 0
-    no_header: bool = False
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        # argparse enforces choices and required options; these are the ranges.
-        if not 0.0 < self.alpha_fraction < 1.0:
-            raise InputError(
-                f"alpha-fraction must lie strictly inside (0, 1) so that "
-                f"alpha * rho stays below 1, got {self.alpha_fraction}"
-            )
-        if not 0.0 <= self.beta <= 1.0:
-            raise InputError(f"beta must lie in [0, 1], got {self.beta}")
-        if not 0.0 < self.damping < 1.0:
-            raise InputError(f"damping must lie in (0, 1), got {self.damping}")
-        if self.truncation is not None and self.truncation < 1:
-            raise InputError(f"truncation must be at least 1, got {self.truncation}")
-        if self.k is not None and self.k < 1:
-            raise InputError("select requires a positive --k")
-        if self.heads < 1:
-            raise InputError(f"attend requires at least one head, got {self.heads}")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise InputError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def _parse_cell(token: str, line: int, column: int) -> float:
@@ -109,7 +67,8 @@ def _parse_cell(token: str, line: int, column: int) -> float:
     return value
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_table(path: str, header: bool) -> tuple[list[str], np.ndarray]:
+    """The first row's cells and the numeric body (every row when ``header`` is false)."""
     # utf-8-sig drops a byte-order mark, which would otherwise prefix the first name.
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -119,17 +78,17 @@ def _read_rows(path: str) -> list[list[str]]:
             raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path} contains no rows")
-    return rows
-
-
-def _parse_numeric_rows(rows: list[list[str]], width: int, first_line: int) -> np.ndarray:
+    body, first_line = (rows[1:], 2) if header else (rows, 1)
+    if not body:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    width = len(rows[0])
     data = []
-    for offset, row in enumerate(rows):
+    for offset, row in enumerate(body):
         line = first_line + offset
         if len(row) != width:
             raise RaggedRows(f"line {line} has {len(row)} cells, expected {width}")
         data.append([_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)])
-    return np.asarray(data, dtype=float)
+    return rows[0], np.asarray(data, dtype=float)
 
 
 def load_csv(path: str, header: bool = True) -> FeatureDataset:
@@ -137,54 +96,31 @@ def load_csv(path: str, header: bool = True) -> FeatureDataset:
 
     With ``header=False`` the names are synthesized as f0, f1, ...
     """
-    rows = _read_rows(path)
-    if header:
-        names = [cell.strip() for cell in rows[0]]
-        body, first_line = rows[1:], 2
-    else:
-        names = [f"f{j}" for j in range(len(rows[0]))]
-        body, first_line = rows, 1
-    data = _parse_numeric_rows(body, len(names), first_line)
+    first, data = _read_table(path, header)
+    names = [cell.strip() for cell in first] if header else [f"f{j}" for j in range(len(first))]
     return FeatureDataset(data, tuple(names))
 
 
 def load_matrix_csv(path: str, header: bool = True) -> np.ndarray:
     """Read a plain numeric matrix, skipping the header row if present."""
-    rows = _read_rows(path)
-    body, first_line = (rows[1:], 2) if header else (rows, 1)
-    if not body:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    return _parse_numeric_rows(body, len(rows[0]), first_line)
+    return _read_table(path, header)[1]
 
 
-def _score_features(cfg: RunConfig, ds: FeatureDataset):
+def _score_features(args: argparse.Namespace, ds: FeatureDataset):
     """Run the configured method; returns (scores, alpha, rho)."""
-    aff = build_corr_affinity(ds, cfg.beta)
-    if cfg.method == "inffs":
-        scaling = choose_alpha(aff, cfg.alpha_fraction)
-        if cfg.truncation is not None:
-            ps = power_series_truncated(aff, scaling.alpha, cfg.truncation)
+    aff = build_corr_affinity(ds, args.beta)
+    if args.method == "inffs":
+        scaling = choose_alpha(aff, args.alpha_fraction)
+        if args.truncation is not None:
+            ps = power_series_truncated(aff, scaling.alpha, args.truncation)
         else:
             ps = power_series_closed_form(aff, scaling)
         return inffs_scores(ps), scaling.alpha, scaling.rho
-    if cfg.method == "ec":
+    if args.method == "ec":
         cv = eigenvector_centrality(aff)
         return cv.values, None, cv.eigenvalue
-    cv = pagerank(aff, damping=cfg.damping)
+    cv = pagerank(aff, damping=args.damping)
     return cv.values, None, None
-
-
-def _ranking_payload(cfg: RunConfig, ranking: RankingResult, alpha, rho):
-    indices = select_top_k(ranking, cfg.k) if cfg.k is not None else [int(i) for i in ranking.order]
-    entries = [
-        {
-            "name": ranking.feature_names[i],
-            "score": float(ranking.scores[i]),
-            "rank": position + 1,
-        }
-        for position, i in enumerate(indices)
-    ]
-    return {"method": cfg.method, "alpha": alpha, "rho": rho, "scores": entries}
 
 
 def _serialize_scores(payload: dict, fmt: str) -> str:
@@ -198,12 +134,18 @@ def _serialize_scores(payload: dict, fmt: str) -> str:
     return buffer.getvalue()
 
 
-def run_rank(cfg: RunConfig) -> str:
-    """Score, rank and serialize the table's features; ``select`` keeps the top ``cfg.k``."""
-    ds = load_csv(cfg.input_path, header=not cfg.no_header)
-    scores, alpha, rho = _score_features(cfg, ds)
+def run_rank(args: argparse.Namespace) -> str:
+    """Score, rank and serialize the table's features; ``select`` keeps the top ``args.k``."""
+    ds = load_csv(args.input_path, header=not args.no_header)
+    scores, alpha, rho = _score_features(args, ds)
     ranking = rank(scores, ds.feature_names)
-    return _serialize_scores(_ranking_payload(cfg, ranking, alpha, rho), cfg.format)
+    indices = ranking.order if args.k is None else select_top_k(ranking, args.k)
+    entries = [
+        {"name": ranking.feature_names[i], "score": float(ranking.scores[i]), "rank": position + 1}
+        for position, i in enumerate(indices)
+    ]
+    payload = {"method": args.method, "alpha": alpha, "rho": rho, "scores": entries}
+    return _serialize_scores(payload, args.format)
 
 
 def _seeded_projections(gen: Lcg, d_model: int, heads: int, d_k: int) -> ProjectionSet:
@@ -221,33 +163,33 @@ def _seeded_projections(gen: Lcg, d_model: int, heads: int, d_k: int) -> Project
     return ProjectionSet(tuple(wq), tuple(wk), tuple(wv), wout)
 
 
-def run_attend(cfg: RunConfig) -> str:
+def run_attend(args: argparse.Namespace) -> str:
     """Seeded multi-head self-attention demo over token embeddings."""
-    x = load_matrix_csv(cfg.input_path, header=not cfg.no_header)
+    x = load_matrix_csv(args.input_path, header=not args.no_header)
     d_model = x.shape[1]
-    if d_model % cfg.heads != 0:
+    if d_model % args.heads != 0:
         raise DivisibilityError(
-            f"d_model {d_model} is not divisible by {cfg.heads} heads"
+            f"d_model {d_model} is not divisible by {args.heads} heads"
         )
-    d_k = d_model // cfg.heads
-    att_cfg = AttentionConfig(d_model=d_model, heads=cfg.heads, d_k=d_k, scale=True)
-    proj = _seeded_projections(Lcg(cfg.seed), d_model, cfg.heads, d_k)
+    d_k = d_model // args.heads
+    att_cfg = AttentionConfig(d_model=d_model, heads=args.heads, d_k=d_k, scale=True)
+    proj = _seeded_projections(Lcg(args.seed), d_model, args.heads, d_k)
     output = multi_head_attention(x, att_cfg, proj)
     head1_scores = scale_scores((x @ proj.wq[0]) @ (x @ proj.wk[0]).T, d_k)
     payload = {
-        "heads": cfg.heads,
+        "heads": args.heads,
         "d_model": d_model,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "weights_head1": softmax_rows(head1_scores).tolist(),
         "output": output.tolist(),
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def run_verify(cfg: RunConfig) -> tuple[str, bool, str | None]:
+def run_verify(args: argparse.Namespace) -> tuple[str, bool, str | None]:
     """Equivalence suite report; returns (report, all_passed, first_failure)."""
     checks = verify_mod.run_all(
-        seed=cfg.seed, fraction=cfg.alpha_fraction, tolerance=cfg.tolerance
+        seed=args.seed, fraction=args.alpha_fraction, tolerance=args.tolerance
     )
     lines = [
         f"{c.name}: max_error={c.max_error:.6e} tolerance={c.tolerance:.1e} "
@@ -265,6 +207,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
+def _ranged(convert, low, high, requirement: str):
+    """An argparse ``type=`` that converts the token and requires ``low <= value <= high``.
+
+    The chained comparison is false for NaN, so NaN is outside every range.
+    """
+    def parse(token: str):
+        value = convert(token)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value: 'x'"
+    return parse
+
+
+# Open bounds as closed ones: the floats just inside 0 and 1.
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+_BELOW_1 = math.nextafter(1.0, 0.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="affinitykit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -272,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select = sub.add_parser("select", help="rank and keep the top-k features")
     p_attend = sub.add_parser("attend", help="seeded multi-head attention demo")
     p_verify = sub.add_parser("verify", help="run the equivalence property suite")
+    at_least_1 = _ranged(int, 1, math.inf, "must be at least 1")
 
     for p in (p_rank, p_select, p_attend):
         p.add_argument("--input", dest="input_path", metavar="PATH", required=True,
@@ -280,31 +243,29 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_rank, p_select, p_attend, p_verify):
         p.add_argument("--output", dest="output_path", metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=RunConfig.seed,
+        p.add_argument("--seed", type=_ranged(int, 0, math.inf, "must be nonnegative"), default=0,
                        help="RNG seed (default %(default)s)")
     for p in (p_rank, p_select):
-        p.add_argument("--format", choices=("json", "csv"), default=RunConfig.format)
-        p.add_argument("--method", choices=("inffs", "ec", "pagerank"), default=RunConfig.method)
-        p.add_argument("--beta", type=float, default=RunConfig.beta,
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--method", choices=("inffs", "ec", "pagerank"), default="inffs")
+        p.add_argument("--beta", type=_ranged(float, 0.0, 1.0, "must lie in [0, 1]"), default=0.5,
                        help="variance vs correlation mix in [0, 1] (default %(default)s)")
-        p.add_argument("--damping", type=float, default=RunConfig.damping,
-                       help="PageRank damping in (0, 1) (default %(default)s)")
-        p.add_argument("--truncation", type=int,
+        p.add_argument("--damping", type=_ranged(float, _ABOVE_0, _BELOW_1, "must lie in (0, 1)"),
+                       default=0.85, help="PageRank damping in (0, 1) (default %(default)s)")
+        p.add_argument("--truncation", type=at_least_1,
                        help="truncate the path series at this length instead of the closed form")
     for p in (p_rank, p_select, p_verify):
-        p.add_argument("--alpha-fraction", type=float, default=RunConfig.alpha_fraction,
+        p.add_argument("--alpha-fraction", default=0.5,
+                       type=_ranged(float, _ABOVE_0, _BELOW_1, "must lie strictly inside (0, 1) "
+                                    "so that alpha * rho stays below 1"),
                        help="alpha as a fraction of 1/rho (default %(default)s)")
-    p_select.add_argument("--k", type=int, required=True, help="number of features to keep")
-    p_attend.add_argument("--heads", type=int, default=RunConfig.heads,
+    p_rank.set_defaults(k=None)  # rank reports every feature
+    p_select.add_argument("--k", type=at_least_1, required=True, help="number of features to keep")
+    p_attend.add_argument("--heads", type=at_least_1, default=1,
                           help="attention heads (default %(default)s)")
-    p_verify.add_argument("--tolerance", type=float, help="override every property tolerance")
+    p_verify.add_argument("--tolerance", type=_ranged(float, _ABOVE_0, math.inf, "must be positive"),
+                          help="override every property tolerance")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # Options a subcommand lacks are absent from ``args`` and keep the RunConfig default.
-    given = vars(args)
-    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def _emit(report: str, output_path: str | None):
@@ -320,20 +281,20 @@ def main(argv=None) -> int:
     # Overflow surfaces as a stage's own error line, never as a numpy warning on stderr.
     with np.errstate(all="ignore"):
         try:
-            cfg = _config_from_args(args)
-            if cfg.command == "verify":
-                report, passed, first_failure = run_verify(cfg)
-                _emit(report, cfg.output_path)
+            if args.command == "verify":
+                report, passed, first_failure = run_verify(args)
+                _emit(report, args.output_path)
                 if not passed:
                     print(f"verification failed: {first_failure}", file=sys.stderr)
                     return EXIT_VERIFY_FAILED
                 return EXIT_OK
-            _emit(run_attend(cfg) if cfg.command == "attend" else run_rank(cfg), cfg.output_path)
+            _emit(run_attend(args) if args.command == "attend" else run_rank(args), args.output_path)
             return EXIT_OK
         except NumericError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC_ERROR
-        except (InputError, ValueError, OSError) as exc:
+        # A table too large for the N x N affinity is an input error, not a crash.
+        except (InputError, ValueError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
 

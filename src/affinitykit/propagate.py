@@ -17,7 +17,6 @@ import numpy as np
 from ._validate import as_matrix
 from .affinity import AffinityMatrix
 from .errors import (
-    ConvergenceBoundError,
     DimensionMismatch,
     NegativeEntries,
     NonConvergence,
@@ -108,10 +107,6 @@ def power_series_closed_form(A: AffinityMatrix, scaling: AlphaScaling) -> PathSu
     system here means the supplied scaling lied about the spectral
     radius: the convergence bound alpha * rho < 1 was violated.
     """
-    if not scaling.alpha * scaling.rho < 1.0:
-        raise ConvergenceBoundError(
-            f"alpha * rho = {scaling.alpha * scaling.rho} is not strictly below 1"
-        )
     m = A.matrix
     scaled = scaling.alpha * m
     lhs = np.eye(m.shape[0]) - scaled

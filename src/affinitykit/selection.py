@@ -26,9 +26,9 @@ class RankingResult:
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
         order = np.asarray(self.order, dtype=int)
-        n = scores.shape[0]
-        if scores.ndim != 1 or n == 0:
+        if scores.ndim != 1 or scores.size == 0:
             raise ValueError("scores must be a non-empty 1-D vector")
+        n = scores.shape[0]
         if not np.all(np.isfinite(scores)):
             raise NonFiniteScores("scores contain NaN or infinite values")
         if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
@@ -73,9 +73,7 @@ def _logistic(p: np.ndarray) -> np.ndarray:
 def rank(scores, names=None) -> RankingResult:
     """Deterministic descending ranking, ties broken by ascending index."""
     vec = np.asarray(scores, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError("scores must be a non-empty 1-D vector")
-    order = np.argsort(-vec, kind="stable")  # RankingResult rejects non-finite scores
+    order = np.argsort(-vec, kind="stable")  # RankingResult rejects bad shapes and non-finite scores
     return RankingResult(vec, order, tuple(names) if names is not None else None)
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import rankdata
 
 import affinitykit as ak
-from affinitykit.affinity import _average_ranks
+from affinitykit.affinity import _average_ranks, _column_std
 
 
 def make_ds(*columns, names=None):
@@ -154,6 +154,25 @@ class TestAverageRanks:
     def test_equals_scipy_average_ranks(self, columns):
         data = np.array(columns).T
         assert_array_equal(_average_ranks(data), rankdata(data, method="average", axis=0))
+
+
+def _std_columns(n):
+    """One column of n entries from {0} and +-[1e-100, 1e100]."""
+    magnitudes = st.floats(1e-100, 1e100)
+    value = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda m: -m))
+    return st.lists(value, min_size=n, max_size=n)
+
+
+class TestColumnStd:
+    @given(
+        st.integers(2, 25).flatmap(
+            lambda n: st.lists(_std_columns(n), min_size=1, max_size=6)
+        )
+    )
+    @settings(max_examples=200)
+    def test_equals_plain_std(self, columns):
+        data = np.array(columns).T
+        assert_array_equal(_column_std(data), data.std(axis=0))
 
 
 class TestDotProductAffinity:

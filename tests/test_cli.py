@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import affinitykit as ak
-from affinitykit.cli import RunConfig, load_csv, load_matrix_csv, main, run_rank
+from affinitykit.cli import build_parser, load_csv, load_matrix_csv, main, run_rank
 
 DATA = Path(__file__).parent / "data"
 CORR_FIXTURE = DATA / "corr_fixture.csv"
@@ -105,14 +105,23 @@ class TestLoadCsv:
         assert len(captured.err.splitlines()) == 1
         assert "long.csv, line 3" in captured.err
 
+    @pytest.mark.parametrize("command", [["rank"], ["select", "--k", "1"], ["attend"]])
+    def test_header_only_table_is_one_line_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "names_only.csv"
+        path.write_text("a,b\n")
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} has a header but no data rows\n"
+
 
 class TestRankCommand:
     def test_fixture_matches_in_memory_pipeline(self):
         result = run_cli("rank", "--input", str(CORR_FIXTURE))
         assert result.returncode == 0 and result.stderr == ""
         payload = json.loads(result.stdout)
-        cfg = RunConfig(command="rank", input_path=str(CORR_FIXTURE))
-        expected = json.loads(run_rank(cfg))
+        args = build_parser().parse_args(["rank", "--input", str(CORR_FIXTURE)])
+        expected = json.loads(run_rank(args))
         assert payload == expected
 
         ds = load_csv(str(CORR_FIXTURE))
@@ -172,6 +181,18 @@ class TestRankCommand:
         result = run_cli("rank", "--input", str(path), "--no-header")
         payload = json.loads(result.stdout)
         assert {e["name"] for e in payload["scores"]} == {"f0", "f1"}
+
+    @pytest.mark.parametrize(
+        "table",
+        ["a,b\n1e308,1e308\n1e308,-1e308\n", "a,b,c\n1e308,-1e308,3\n-1e308,1e308,1\n1e308,1e308,2\n"],
+    )
+    def test_huge_finite_table_ranks(self, tmp_path, capsys, table):
+        path = tmp_path / "huge.csv"
+        path.write_text(table)
+        assert main(["rank", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(np.isfinite(e["score"]) for e in json.loads(captured.out)["scores"])
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -275,6 +296,47 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert len(result.stderr.strip().splitlines()) == 1
+        assert "so that alpha * rho stays below 1" in result.stderr
+
+
+# Every ranged option of every subcommand that has it, with values just outside its range.
+OUT_OF_RANGE = {
+    "--alpha-fraction": (["rank", "select", "verify"], ["0", "1", "nan"]),
+    "--beta": (["rank", "select"], ["-0.1", "1.1", "nan"]),
+    "--damping": (["rank", "select"], ["0", "1", "inf"]),
+    "--truncation": (["rank", "select"], ["0"]),
+    "--k": (["select"], ["0"]),
+    "--heads": (["attend"], ["0"]),
+    "--seed": (["rank", "select", "attend", "verify"], ["-1"]),
+    "--tolerance": (["verify"], ["0", "nan"]),
+}
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (command, option, value)
+            for option, (commands, values) in OUT_OF_RANGE.items()
+            for command in commands
+            for value in [*values, "x"]
+        ],
+    )
+    def test_rejected_by_the_parser(self, tmp_path, capsys, command, option, value):
+        out = tmp_path / "report.txt"
+        argv = [command, option, value, "--output", str(out)]
+        if command != "verify":
+            argv += ["--input", str(TOKENS_FIXTURE if command == "attend" else CORR_FIXTURE)]
+        if command == "select" and option != "--k":
+            argv += ["--k", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: argument {option}: ")
+        assert not out.exists()
 
 
 class TestStartup:
@@ -312,6 +374,16 @@ class TestErrorReporting:
         assert result.returncode == 2
         assert result.stdout == ""
         assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_memory_error_is_one_line_input_error(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (31623, 31623)")
+
+        monkeypatch.setattr("affinitykit.cli.build_corr_affinity", exhausted)
+        assert main(["rank", "--input", str(CORR_FIXTURE)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.45 GiB for an array with shape (31623, 31623)\n"
 
     def test_unknown_flag_is_one_line(self):
         result = run_cli("rank", "--bogus")

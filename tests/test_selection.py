@@ -50,6 +50,13 @@ class TestRank:
         with pytest.raises(ak.NonFiniteScores):
             ak.rank([1.0, np.nan])
 
+    @pytest.mark.parametrize("scores", [5.0, [], [[1.0, 2.0]]])
+    def test_non_vector_scores_rejected(self, scores):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ak.rank(scores)
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ak.RankingResult(scores, [0])
+
     @given(
         st.lists(st.integers(-100, 100), min_size=1, max_size=12),
         st.floats(0.1, 10.0),
