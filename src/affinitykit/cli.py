@@ -37,13 +37,7 @@ from .errors import (
     RaggedRows,
 )
 from .normalize import choose_alpha, scale_scores, softmax_rows
-from .propagate import (
-    eigenvector_centrality,
-    inffs_scores,
-    pagerank,
-    power_series_closed_form,
-    power_series_truncated,
-)
+from .propagate import eigenvector_centrality, pagerank, path_scores
 from .rng import Lcg
 from .selection import rank, select_top_k
 
@@ -73,22 +67,23 @@ def _read_table(path: str, header: bool) -> tuple[list[str], np.ndarray]:
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            rows = [row for row in reader if row]
+            # Blank lines are skipped, so each row keeps the file line it ended on.
+            rows = [(reader.line_num, row) for row in reader if row]
         except csv.Error as exc:
             raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path} contains no rows")
-    body, first_line = (rows[1:], 2) if header else (rows, 1)
+    body = rows[1:] if header else rows
     if not body:
         raise EmptyFile(f"{path} has a header but no data rows")
-    width = len(rows[0])
+    first = rows[0][1]
+    width = len(first)
     data = []
-    for offset, row in enumerate(body):
-        line = first_line + offset
+    for line, row in body:
         if len(row) != width:
             raise RaggedRows(f"line {line} has {len(row)} cells, expected {width}")
         data.append([_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)])
-    return rows[0], np.asarray(data, dtype=float)
+    return first, np.asarray(data, dtype=float)
 
 
 def load_csv(path: str, header: bool = True) -> FeatureDataset:
@@ -111,11 +106,7 @@ def _score_features(args: argparse.Namespace, ds: FeatureDataset):
     aff = build_corr_affinity(ds, args.beta)
     if args.method == "inffs":
         scaling = choose_alpha(aff, args.alpha_fraction)
-        if args.truncation is not None:
-            ps = power_series_truncated(aff, scaling.alpha, args.truncation)
-        else:
-            ps = power_series_closed_form(aff, scaling)
-        return inffs_scores(ps), scaling.alpha, scaling.rho
+        return path_scores(aff, scaling, args.truncation), scaling.alpha, scaling.rho
     if args.method == "ec":
         cv = eigenvector_centrality(aff)
         return cv.values, None, cv.eigenvalue

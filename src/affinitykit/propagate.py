@@ -1,9 +1,9 @@
 """Propagation over an affinity matrix.
 
 Single-hop weighted aggregation (the attention core), truncated and
-closed-form affinity power series (the path-summation core), and the
-two classic diffusion-style centralities: principal eigenvector and
-PageRank.
+closed-form affinity power series (the path-summation core) and their
+score-only form, and the two classic diffusion-style centralities:
+principal eigenvector and PageRank.
 """
 
 from __future__ import annotations
@@ -80,6 +80,41 @@ def single_hop_aggregate(W, V, *, _checked: bool = False) -> np.ndarray:
     return W @ V
 
 
+def _check_length(L) -> int:
+    if int(L) != L or L < 1:
+        raise ValueError(f"L must be a positive integer, got {L}")
+    return int(L)
+
+
+def _horner(scaled: np.ndarray, start: np.ndarray, L: int) -> np.ndarray:
+    """Sum of scaled^k @ start for k = 1..L, as X <- scaled (start + X).
+
+    Each step is one product with ``scaled``, and no power is formed:
+    with start = I that is L matrix products, with start = 1 (the row
+    sums) L matrix-vector products.
+    """
+    total = np.zeros_like(start)
+    for _ in range(L):
+        total = scaled @ (start + total)
+    return total
+
+
+def _shifted_solve(scaled: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - scaled) X = rhs by one partially pivoted linear solve.
+
+    A singular system here means the supplied scaling lied about the
+    spectral radius: the convergence bound alpha * rho < 1 was violated.
+    """
+    lhs = np.eye(scaled.shape[0]) - scaled
+    try:
+        solution = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"I - alpha*A is singular: {exc}") from exc
+    if not np.all(np.isfinite(solution)):
+        raise SingularSystem("closed-form solve produced non-finite entries")
+    return solution
+
+
 def power_series_truncated(A: AffinityMatrix, alpha: float, L: int) -> PathSum:
     """Sum of alpha^k A^k for k = 1..L.
 
@@ -88,35 +123,36 @@ def power_series_truncated(A: AffinityMatrix, alpha: float, L: int) -> PathSum:
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if int(L) != L or L < 1:
-        raise ValueError(f"L must be a positive integer, got {L}")
+    L = _check_length(L)
     m = A.matrix
-    scaled = alpha * m
-    eye = np.eye(m.shape[0])
-    total = np.zeros_like(m)
-    for _ in range(int(L)):
-        total = scaled @ (eye + total)
-    return PathSum(total, alpha=alpha, length=int(L))
+    return PathSum(_horner(alpha * m, np.eye(m.shape[0]), L), alpha=alpha, length=L)
 
 
 def power_series_closed_form(A: AffinityMatrix, scaling: AlphaScaling) -> PathSum:
     """Infinite path sum (I - alpha A)^-1 - I.
 
-    Computed by one partially pivoted linear solve of
-    (I - alpha A) X = alpha A rather than an explicit inverse. A singular
-    system here means the supplied scaling lied about the spectral
-    radius: the convergence bound alpha * rho < 1 was violated.
+    Computed by one solve of (I - alpha A) X = alpha A rather than an
+    explicit inverse; a forged scaling raises :class:`SingularSystem`.
     """
-    m = A.matrix
-    scaled = scaling.alpha * m
-    lhs = np.eye(m.shape[0]) - scaled
-    try:
-        solution = np.linalg.solve(lhs, scaled)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"I - alpha*A is singular: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
-        raise SingularSystem("closed-form solve produced non-finite entries")
-    return PathSum(solution, alpha=scaling.alpha, length="infinite")
+    scaled = scaling.alpha * A.matrix
+    return PathSum(_shifted_solve(scaled, scaled), alpha=scaling.alpha, length="infinite")
+
+
+def path_scores(A: AffinityMatrix, scaling: AlphaScaling, length: int | None = None) -> np.ndarray:
+    """Inf-FS scores s = S 1 of the path sum S, without forming S.
+
+    ``length=None`` is the closed form, one single right-hand-side solve
+    of (I - alpha A) s = alpha A 1. ``length=L`` is the series truncated
+    at L, accumulated as t <- alpha A (1 + t): L matrix-vector products
+    instead of L matrix products. Equal up to rounding to
+    ``inffs_scores`` of :func:`power_series_closed_form` or
+    :func:`power_series_truncated` at ``scaling.alpha``.
+    """
+    scaled = scaling.alpha * A.matrix
+    ones = np.ones(scaled.shape[0])
+    if length is None:
+        return _shifted_solve(scaled, scaled @ ones)
+    return _horner(scaled, ones, _check_length(length))
 
 
 def inffs_scores(ps: PathSum) -> np.ndarray:

@@ -4,8 +4,9 @@ Each check exercises one structural identity the library is organized
 around: the closed-form path series against its truncation, the one-hop
 degeneration to weighted degrees, the non-local block's reduction to
 attention, the GAT layer's reduction to dense concat-scored attention,
-the stacking-equals-multi-hop composition law, and permutation
-equivariance of the ranking scores.
+the stacking-equals-multi-hop composition law, permutation
+equivariance of the ranking scores, and the score-only path series
+against the row sums of the path matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .attention import GatParams, NonLocalProjections, attention, gat_layer, non
 from .normalize import NeighborhoodMask, choose_alpha, softmax_rows
 from .propagate import (
     inffs_scores,
+    path_scores,
     power_series_closed_form,
     power_series_truncated,
     single_hop_aggregate,
@@ -167,6 +169,33 @@ def check_permutation_equivariance(
     return PropertyCheck("permutation_equivariance", worst, tolerance)
 
 
+def check_score_path_equals_matrix_path(
+    seed: int = 6,
+    instances: int = 20,
+    n: int = 30,
+    truncation: int = 60,
+    tolerance: float = 1e-12,
+) -> PropertyCheck:
+    """path_scores equals the row sums of the path matrix, closed form and truncated.
+
+    Alpha * rho is fixed at 0.5, so the scores are O(1) and the 1e-12
+    budget is absolute.
+    """
+    gen = Lcg(seed)
+    worst = 0.0
+    for _ in range(instances):
+        a = AffinityMatrix(gen.matrix(n, n))
+        scaling = choose_alpha(a, 0.5)
+        closed = inffs_scores(power_series_closed_form(a, scaling))
+        truncated = inffs_scores(power_series_truncated(a, scaling.alpha, truncation))
+        worst = max(
+            worst,
+            _max_abs(path_scores(a, scaling) - closed),
+            _max_abs(path_scores(a, scaling, truncation) - truncated),
+        )
+    return PropertyCheck("score_path_equals_matrix_path", worst, tolerance)
+
+
 def run_all(
     seed: int = 0, fraction: float = 0.5, tolerance: float | None = None
 ) -> list[PropertyCheck]:
@@ -179,4 +208,5 @@ def run_all(
         check_gat_matches_dense_attention(seed=seed + 3, **overrides),
         check_stacking_composition(seed=seed + 4, **overrides),
         check_permutation_equivariance(seed=seed + 5, fraction=fraction, **overrides),
+        check_score_path_equals_matrix_path(seed=seed + 6, **overrides),
     ]

@@ -66,6 +66,16 @@ class TestLoadCsv:
         with pytest.raises(ak.NonNumericCell, match="line 3, column 2"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "last_row, error, message",
+        [("3,x", ak.NonNumericCell, "line 4, column 2"), ("3", ak.RaggedRows, "line 4 has 1 cells")],
+    )
+    def test_line_numbers_count_blank_lines(self, tmp_path, last_row, error, message):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"a,b\n\n1,2\n{last_row}\n")
+        with pytest.raises(error, match=message):
+            load_csv(str(path))
+
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("a,b\n1,2\ninf,4\n")
@@ -127,10 +137,21 @@ class TestRankCommand:
         ds = load_csv(str(CORR_FIXTURE))
         aff = ak.build_corr_affinity(ds, beta=0.5)
         scaling = ak.choose_alpha(aff, 0.5)
-        scores = ak.inffs_scores(ak.power_series_closed_form(aff, scaling))
-        by_name = {e["name"]: e["score"] for e in payload["scores"]}
-        for name, score in zip(ds.feature_names, scores):
-            assert by_name[name] == score  # repr round-trip is exact
+        matrix_paths = {
+            None: ak.power_series_closed_form(aff, scaling),
+            40: ak.power_series_truncated(aff, scaling.alpha, 40),
+        }
+        for length, path_sum in matrix_paths.items():
+            flags = [] if length is None else ["--truncation", str(length)]
+            report = json.loads(run_rank(build_parser().parse_args(
+                ["rank", "--input", str(CORR_FIXTURE), *flags])))
+            by_name = {e["name"]: e["score"] for e in report["scores"]}
+            got = np.array([by_name[name] for name in ds.feature_names])
+            # repr round-trip is exact
+            assert got.tolist() == ak.path_scores(aff, scaling, length).tolist()
+            # the N x N path matrix agrees up to rounding
+            reference = ak.inffs_scores(path_sum)
+            assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_chain_dataset_ranks_hub_first(self):
         result = run_cli("rank", "--input", str(CHAIN_FIXTURE), "--beta", "0")
@@ -193,6 +214,18 @@ class TestRankCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert all(np.isfinite(e["score"]) for e in json.loads(captured.out)["scores"])
+
+    @pytest.mark.parametrize("command", [["rank"], ["select", "--k", "2"]], ids=["rank", "select"])
+    @pytest.mark.parametrize("flags", [[], ["--truncation", "40"]], ids=["closed_form", "truncated"])
+    def test_inffs_builds_no_path_matrix(self, monkeypatch, capsys, command, flags):
+        def no_path_matrix(self):
+            raise AssertionError("the CLI built an N x N path matrix")
+
+        monkeypatch.setattr(ak.PathSum, "__post_init__", no_path_matrix)
+        assert main([*command, "--input", str(CORR_FIXTURE), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["method"] == "inffs"
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -283,7 +316,7 @@ class TestVerifyCommand:
         result = run_cli("verify")
         assert result.returncode == 0 and result.stderr == ""
         lines = result.stdout.strip().splitlines()
-        assert len(lines) == 6 and all(line.endswith("PASS") for line in lines)
+        assert len(lines) == 7 and all(line.endswith("PASS") for line in lines)
 
     def test_corrupted_tolerance_names_first_failure(self):
         result = run_cli("verify", "--tolerance", "1e-30")

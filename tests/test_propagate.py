@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import affinitykit as ak
@@ -13,6 +16,13 @@ def naive_series(m: np.ndarray, alpha: float, length: int) -> np.ndarray:
         power = power @ m
         total = total + alpha**k * power
     return total
+
+
+def matrix_path_scores(a: ak.AffinityMatrix, scaling: ak.AlphaScaling, length=None) -> np.ndarray:
+    """Reference for ``path_scores``: row sums of the N x N path matrix."""
+    if length is None:
+        return ak.inffs_scores(ak.power_series_closed_form(a, scaling))
+    return ak.inffs_scores(ak.power_series_truncated(a, scaling.alpha, length))
 
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -165,6 +175,68 @@ class TestInffsScores:
         permuted = ak.AffinityMatrix(a.matrix[np.ix_(perm, perm)])
         scores = ak.inffs_scores(ak.power_series_closed_form(permuted, scaling))
         assert_allclose(scores, base[perm], atol=1e-12)
+
+
+# Each case runs on both paths; length None is the closed form.
+PATHS = [
+    pytest.param(matrix_path_scores, id="matrix_path"),
+    pytest.param(ak.path_scores, id="score_path"),
+]
+
+
+class TestPathScores:
+    @pytest.mark.parametrize("scores", PATHS)
+    @pytest.mark.parametrize("length", [None, 1, 5])
+    def test_zero_matrix(self, scores, length):
+        a = ak.AffinityMatrix(np.zeros((3, 3)))
+        assert_array_equal(scores(a, ak.AlphaScaling(alpha=0.9, rho=0.0), length), np.zeros(3))
+
+    @pytest.mark.parametrize("scores", PATHS)
+    @pytest.mark.parametrize("length, alpha, expected", [(None, 0.4, 14 / 21), (3, 0.5, 0.875)])
+    def test_swap_by_hand(self, scores, length, alpha, expected):
+        # Rows of the hand inverse sum to 4/21 + 10/21; the L = 3 rows to 0.25 + 0.625.
+        got = scores(ak.AffinityMatrix(SWAP), ak.AlphaScaling(alpha, 1.0), length)
+        assert_allclose(got, [expected, expected], rtol=1e-14)
+
+    @pytest.mark.parametrize("length", [0, 1.5, -3])
+    def test_length_must_be_a_positive_integer(self, length):
+        a = ak.AffinityMatrix(SWAP)
+        message = f"L must be a positive integer, got {length}"
+        with pytest.raises(ValueError, match=message):
+            ak.path_scores(a, ak.AlphaScaling(0.5, 1.0), length)
+        with pytest.raises(ValueError, match=message):
+            ak.power_series_truncated(a, 0.5, length)
+
+    @pytest.mark.parametrize("scores", PATHS)
+    def test_singular_system_when_scaling_lies(self, scores):
+        forged = ak.AlphaScaling(alpha=1.0, rho=0.0)
+        with pytest.raises(ak.SingularSystem):
+            scores(ak.AffinityMatrix(SWAP), forged)
+
+    @pytest.mark.parametrize("scores", PATHS)
+    def test_one_hop_is_weighted_degree(self, scores):
+        m = np.random.default_rng(9).random((20, 20))
+        a = ak.AffinityMatrix(m)
+        scaling = ak.choose_alpha(a, 0.5)
+        assert np.abs(scores(a, scaling, 1) - scaling.alpha * m.sum(axis=1)).max() <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 12).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.floats(0, 1, allow_subnormal=False))
+        ),
+        fraction=st.floats(0.05, 0.95),
+        length=st.one_of(st.none(), st.integers(1, 80)),
+    )
+    def test_equals_matrix_path(self, m, fraction, length):
+        sym = (m + m.T) / 2
+        # rho from a dense eigensolver, so the case does not rest on power iteration.
+        rho = float(np.abs(np.linalg.eigvalsh(sym)).max())
+        scaling = ak.AlphaScaling(fraction / rho if rho > 0 else fraction, rho)
+        a = ak.AffinityMatrix(sym)
+        reference = matrix_path_scores(a, scaling, length)
+        error = np.abs(ak.path_scores(a, scaling, length) - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max()
 
 
 class TestEigenvectorCentrality:

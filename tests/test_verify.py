@@ -4,7 +4,7 @@ from affinitykit import verify
 
 def test_all_properties_pass_at_default_tolerances():
     checks = ak.run_all(seed=0)
-    assert len(checks) == 6
+    assert len(checks) == 7
     for check in checks:
         assert check.passed, f"{check.name}: {check.max_error} > {check.tolerance}"
 
@@ -18,6 +18,7 @@ def test_property_names_are_stable():
         "gat_equals_dense_attention",
         "stacking_composition",
         "permutation_equivariance",
+        "score_path_equals_matrix_path",
     ]
 
 
