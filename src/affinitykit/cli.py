@@ -54,7 +54,7 @@ def _parse_cell(token: str, line: int, column: int) -> float:
         raise NonNumericCell(
             f"line {line}, column {column}: {token!r} is not a number"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonNumericCell(
             f"line {line}, column {column}: {token!r} is not finite"
         )

@@ -153,8 +153,10 @@ def choose_alpha(
 ) -> AlphaScaling:
     """Pick alpha = fraction / rho(A), placing alpha * rho at ``fraction``.
 
-    A zero spectral radius (zero or nilpotent matrix) makes every alpha
-    convergent, so the fraction itself is returned.
+    The zero matrix makes every alpha convergent, so the fraction itself
+    is returned. A nonzero nilpotent matrix is not detected: its rho is
+    0, but power iteration either fails to converge or settles on a
+    positive estimate.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")

@@ -31,13 +31,6 @@ class Lcg:
         self.state = (MULTIPLIER * self.state + INCREMENT) & _MASK
         return self.state
 
-    def next_float(self) -> float:
-        """Uniform double on [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.next_float()
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer on [low, high] inclusive."""
         if high < low:
@@ -46,11 +39,9 @@ class Lcg:
 
     def matrix(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Matrix filled row by row with uniform draws on [low, high)."""
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.uniform(low, high)
-        return out
+        top = [self.next_u64() >> 11 for _ in range(rows * cols)]
+        u = np.array(top, dtype=np.float64).reshape(rows, cols)
+        return low + (high - low) * (u * 2.0**-53)
 
     def vector(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self.matrix(1, n, low, high)[0]

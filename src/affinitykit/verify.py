@@ -1,12 +1,16 @@
 """Cross-module equivalence checks on seeded random instances.
 
-Each check exercises one structural identity the library is organized
+Each property exercises one structural identity the library is organized
 around: the closed-form path series against its truncation, the one-hop
 degeneration to weighted degrees, the non-local block's reduction to
 attention, the GAT layer's reduction to dense concat-scored attention,
 the stacking-equals-multi-hop composition law, permutation
 equivariance of the ranking scores, and the score-only path series
 against the row sums of the path matrix.
+
+A property is a function ``(gen, fraction) -> error`` that draws one
+instance from ``gen`` and returns its largest absolute error, plus a row
+in ``_PROPERTIES``; ``run_all`` does the seeding and the reduction.
 """
 
 from __future__ import annotations
@@ -41,172 +45,124 @@ class PropertyCheck:
         return self.max_error <= self.tolerance
 
 
-def _max_abs(diff: np.ndarray) -> float:
-    return float(np.abs(diff).max())
+def _max_abs(*diffs: np.ndarray) -> float:
+    """Largest absolute entry over ``diffs``; NaN if any entry is NaN."""
+    return float(np.max([np.abs(diff).max() for diff in diffs]))
 
 
-def check_closed_form_vs_truncated(
-    seed: int = 0,
-    instances: int = 20,
-    n: int = 30,
-    fraction: float = 0.5,
-    truncation: int = 60,
-    tolerance: float = 1e-8,
-) -> PropertyCheck:
-    """Closed form vs truncated series at alpha = fraction / rho."""
-    gen = Lcg(seed)
-    worst = 0.0
-    for _ in range(instances):
-        a = AffinityMatrix(gen.matrix(n, n))
-        scaling = choose_alpha(a, fraction)
-        closed = power_series_closed_form(a, scaling)
-        truncated = power_series_truncated(a, scaling.alpha, truncation)
-        worst = max(worst, _max_abs(closed.matrix - truncated.matrix))
-    return PropertyCheck("closed_form_vs_truncated", worst, tolerance)
+def _closed_form_vs_truncated(gen: Lcg, fraction: float) -> float:
+    """Closed form vs truncated series (N = 30, L = 60) at alpha = fraction / rho."""
+    a = AffinityMatrix(gen.matrix(30, 30))
+    scaling = choose_alpha(a, fraction)
+    truncated = power_series_truncated(a, scaling.alpha, 60)
+    return _max_abs(power_series_closed_form(a, scaling).matrix - truncated.matrix)
 
 
-def check_one_hop_degeneration(
-    seed: int = 1, instances: int = 20, fraction: float = 0.5, tolerance: float = 1e-14
-) -> PropertyCheck:
+def _one_hop_degeneration(gen: Lcg, fraction: float) -> float:
     """L = 1 path sums score exactly alpha times the weighted degree.
 
-    Alpha follows the pipeline's own policy (fraction / rho), which also
-    keeps score magnitudes small enough that the 1e-14 absolute budget
-    is honest rather than scale-dependent.
+    Alpha * rho is fixed at 0.5 whatever ``fraction`` is: that keeps the
+    score magnitudes small enough that the 1e-14 absolute budget is
+    honest rather than scale-dependent.
     """
-    gen = Lcg(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = gen.randint(2, 30)
-        a = AffinityMatrix(gen.matrix(n, n))
-        alpha = choose_alpha(a, fraction).alpha
-        scores = inffs_scores(power_series_truncated(a, alpha, 1))
-        degrees = alpha * a.matrix.sum(axis=1)
-        worst = max(worst, _max_abs(scores - degrees))
-    return PropertyCheck("one_hop_degeneration", worst, tolerance)
+    n = gen.randint(2, 30)
+    a = AffinityMatrix(gen.matrix(n, n))
+    alpha = choose_alpha(a, 0.5).alpha
+    scores = inffs_scores(power_series_truncated(a, alpha, 1))
+    return _max_abs(scores - alpha * a.matrix.sum(axis=1))
 
 
-def check_nonlocal_matches_attention(
-    seed: int = 2, instances: int = 20, tolerance: float = 1e-12
-) -> PropertyCheck:
+def _nonlocal_equals_attention(gen: Lcg, fraction: float) -> float:
     """Embedded-Gaussian block minus residual equals unscaled attention."""
-    gen = Lcg(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = gen.randint(2, 16)
-        d = gen.randint(1, 8)
-        x = gen.matrix(n, d, -1.0, 1.0)
-        proj = NonLocalProjections(
-            wtheta=gen.matrix(d, d, -0.5, 0.5),
-            wphi=gen.matrix(d, d, -0.5, 0.5),
-            wg=gen.matrix(d, d, -0.5, 0.5),
-            wz=np.eye(d),
-        )
-        block = non_local_block(x, proj, "embedded_gaussian") - x
-        direct = attention(x @ proj.wtheta, x @ proj.wphi, x @ proj.wg, scale=False)
-        worst = max(worst, _max_abs(block - direct))
-    return PropertyCheck("nonlocal_equals_attention", worst, tolerance)
+    n = gen.randint(2, 16)
+    d = gen.randint(1, 8)
+    x = gen.matrix(n, d, -1.0, 1.0)
+    proj = NonLocalProjections(
+        wtheta=gen.matrix(d, d, -0.5, 0.5),
+        wphi=gen.matrix(d, d, -0.5, 0.5),
+        wg=gen.matrix(d, d, -0.5, 0.5),
+        wz=np.eye(d),
+    )
+    block = non_local_block(x, proj, "embedded_gaussian") - x
+    return _max_abs(block - attention(x @ proj.wtheta, x @ proj.wphi, x @ proj.wg, scale=False))
 
 
-def check_gat_matches_dense_attention(
-    seed: int = 3, instances: int = 20, tolerance: float = 1e-12
-) -> PropertyCheck:
+def _gat_equals_dense_attention(gen: Lcg, fraction: float) -> float:
     """Fully connected GAT with identity activation equals the manual
     scorer + softmax + aggregation composition."""
-    gen = Lcg(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = gen.randint(2, 16)
-        f_in = gen.randint(1, 6)
-        f_out = gen.randint(1, 6)
-        h = gen.matrix(n, f_in, -1.0, 1.0)
-        params = GatParams(
-            w=gen.matrix(f_in, f_out, -0.5, 0.5),
-            wprime=gen.matrix(f_in, f_out, -0.5, 0.5),
-            a=gen.vector(2 * f_out, -0.5, 0.5),
-            slope=0.2,
-        )
-        layered = gat_layer(h, params, NeighborhoodMask.full(n))
-        scores = build_gat_scores(h, params.w, params.a, params.slope)
-        manual = single_hop_aggregate(softmax_rows(scores), h @ params.wprime)
-        worst = max(worst, _max_abs(layered - manual))
-    return PropertyCheck("gat_equals_dense_attention", worst, tolerance)
+    n = gen.randint(2, 16)
+    f_in = gen.randint(1, 6)
+    f_out = gen.randint(1, 6)
+    h = gen.matrix(n, f_in, -1.0, 1.0)
+    params = GatParams(
+        w=gen.matrix(f_in, f_out, -0.5, 0.5),
+        wprime=gen.matrix(f_in, f_out, -0.5, 0.5),
+        a=gen.vector(2 * f_out, -0.5, 0.5),
+        slope=0.2,
+    )
+    layered = gat_layer(h, params, NeighborhoodMask.full(n))
+    scores = build_gat_scores(h, params.w, params.a, params.slope)
+    return _max_abs(layered - single_hop_aggregate(softmax_rows(scores), h @ params.wprime))
 
 
-def check_stacking_composition(
-    seed: int = 4, instances: int = 20, tolerance: float = 1e-10
-) -> PropertyCheck:
+def _stacking_composition(gen: Lcg, fraction: float) -> float:
     """Two chained one-hop aggregations equal one aggregation with W^2."""
-    gen = Lcg(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = gen.randint(2, 32)
-        d = gen.randint(1, 8)
-        w = softmax_rows(gen.matrix(n, n, -2.0, 2.0))
-        v = gen.matrix(n, d, -5.0, 5.0)
-        chained = single_hop_aggregate(w, single_hop_aggregate(w, v))
-        squared = single_hop_aggregate(w @ w, v)
-        worst = max(worst, _max_abs(chained - squared))
-    return PropertyCheck("stacking_composition", worst, tolerance)
+    n = gen.randint(2, 32)
+    d = gen.randint(1, 8)
+    w = softmax_rows(gen.matrix(n, n, -2.0, 2.0))
+    v = gen.matrix(n, d, -5.0, 5.0)
+    chained = single_hop_aggregate(w, single_hop_aggregate(w, v))
+    return _max_abs(chained - single_hop_aggregate(w @ w, v))
 
 
-def check_permutation_equivariance(
-    seed: int = 5, instances: int = 20, fraction: float = 0.5, tolerance: float = 1e-12
-) -> PropertyCheck:
+def _permutation_equivariance(gen: Lcg, fraction: float) -> float:
     """Ranking scores of P A P^T are the permuted ranking scores of A."""
-    gen = Lcg(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = gen.randint(2, 20)
-        a = AffinityMatrix(gen.matrix(n, n))
-        perm = gen.permutation(n)
-        permuted = AffinityMatrix(a.matrix[np.ix_(perm, perm)])
-        # One shared scaling: the spectrum is permutation-invariant.
-        scaling = choose_alpha(a, fraction)
-        base = inffs_scores(power_series_closed_form(a, scaling))
-        scores_p = inffs_scores(power_series_closed_form(permuted, scaling))
-        worst = max(worst, _max_abs(scores_p - base[perm]))
-    return PropertyCheck("permutation_equivariance", worst, tolerance)
+    n = gen.randint(2, 20)
+    a = AffinityMatrix(gen.matrix(n, n))
+    perm = gen.permutation(n)
+    permuted = AffinityMatrix(a.matrix[np.ix_(perm, perm)])
+    # One shared scaling: the spectrum is permutation-invariant.
+    scaling = choose_alpha(a, fraction)
+    base = inffs_scores(power_series_closed_form(a, scaling))
+    return _max_abs(inffs_scores(power_series_closed_form(permuted, scaling)) - base[perm])
 
 
-def check_score_path_equals_matrix_path(
-    seed: int = 6,
-    instances: int = 20,
-    n: int = 30,
-    truncation: int = 60,
-    tolerance: float = 1e-12,
-) -> PropertyCheck:
+def _score_path_equals_matrix_path(gen: Lcg, fraction: float) -> float:
     """path_scores equals the row sums of the path matrix, closed form and truncated.
 
-    Alpha * rho is fixed at 0.5, so the scores are O(1) and the 1e-12
-    budget is absolute.
+    Alpha * rho is fixed at 0.5 whatever ``fraction`` is, so the scores
+    are O(1) and the 1e-12 budget is absolute.
     """
-    gen = Lcg(seed)
-    worst = 0.0
-    for _ in range(instances):
-        a = AffinityMatrix(gen.matrix(n, n))
-        scaling = choose_alpha(a, 0.5)
-        closed = inffs_scores(power_series_closed_form(a, scaling))
-        truncated = inffs_scores(power_series_truncated(a, scaling.alpha, truncation))
-        worst = max(
-            worst,
-            _max_abs(path_scores(a, scaling) - closed),
-            _max_abs(path_scores(a, scaling, truncation) - truncated),
-        )
-    return PropertyCheck("score_path_equals_matrix_path", worst, tolerance)
+    a = AffinityMatrix(gen.matrix(30, 30))
+    scaling = choose_alpha(a, 0.5)
+    closed = inffs_scores(power_series_closed_form(a, scaling))
+    truncated = inffs_scores(power_series_truncated(a, scaling.alpha, 60))
+    return _max_abs(path_scores(a, scaling) - closed, path_scores(a, scaling, 60) - truncated)
+
+
+# (name, one instance's error, default tolerance), in report order.
+_PROPERTIES = (
+    ("closed_form_vs_truncated", _closed_form_vs_truncated, 1e-8),
+    ("one_hop_degeneration", _one_hop_degeneration, 1e-14),
+    ("nonlocal_equals_attention", _nonlocal_equals_attention, 1e-12),
+    ("gat_equals_dense_attention", _gat_equals_dense_attention, 1e-12),
+    ("stacking_composition", _stacking_composition, 1e-10),
+    ("permutation_equivariance", _permutation_equivariance, 1e-12),
+    ("score_path_equals_matrix_path", _score_path_equals_matrix_path, 1e-12),
+)
 
 
 def run_all(
     seed: int = 0, fraction: float = 0.5, tolerance: float | None = None
 ) -> list[PropertyCheck]:
-    """Run every property; ``tolerance`` overrides each per-property default."""
-    overrides = {} if tolerance is None else {"tolerance": tolerance}
-    return [
-        check_closed_form_vs_truncated(seed=seed, fraction=fraction, **overrides),
-        check_one_hop_degeneration(seed=seed + 1, **overrides),
-        check_nonlocal_matches_attention(seed=seed + 2, **overrides),
-        check_gat_matches_dense_attention(seed=seed + 3, **overrides),
-        check_stacking_composition(seed=seed + 4, **overrides),
-        check_permutation_equivariance(seed=seed + 5, fraction=fraction, **overrides),
-        check_score_path_equals_matrix_path(seed=seed + 6, **overrides),
-    ]
+    """Run every property; ``tolerance`` overrides each per-property default.
+
+    Property ``i`` draws its 20 instances from ``Lcg(seed + i)``. The worst
+    error is a NaN-propagating maximum, so a NaN error fails.
+    """
+    checks = []
+    for offset, (name, error, default) in enumerate(_PROPERTIES):
+        gen = Lcg(seed + offset)
+        worst = float(np.max([error(gen, fraction) for _ in range(20)]))
+        checks.append(PropertyCheck(name, worst, default if tolerance is None else tolerance))
+    return checks

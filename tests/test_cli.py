@@ -76,10 +76,12 @@ class TestLoadCsv:
         with pytest.raises(error, match=message):
             load_csv(str(path))
 
-    def test_non_finite_cell_rejected(self, tmp_path):
+    # 1e999 parses: float() overflows it to inf.
+    @pytest.mark.parametrize("token", ["inf", "nan", "-Infinity", "1e999"])
+    def test_non_finite_cell_rejected(self, tmp_path, token):
         path = tmp_path / "inf.csv"
-        path.write_text("a,b\n1,2\ninf,4\n")
-        with pytest.raises(ak.NonNumericCell, match="line 3, column 1"):
+        path.write_text(f"a,b\n1,2\n{token},4\n")
+        with pytest.raises(ak.NonNumericCell, match=f"line 3, column 1: '{token}' is not finite"):
             load_csv(str(path))
 
     def test_empty_file(self, tmp_path):

@@ -1,5 +1,8 @@
+import numpy as np
+
 import affinitykit as ak
 from affinitykit import verify
+from affinitykit.cli import main
 
 
 def test_all_properties_pass_at_default_tolerances():
@@ -33,9 +36,21 @@ def test_tolerance_override_applies_everywhere():
 
 
 def test_individual_checks_report_nonnegative_errors():
-    check = verify.check_stacking_composition(seed=9, instances=3)
+    check = ak.run_all(seed=5)[4]  # stacking_composition, drawn from Lcg(9)
+    assert check.name == "stacking_composition"
     assert check.max_error >= 0.0
     assert check.passed
+
+
+def test_nan_error_fails_verify(monkeypatch, capsys):
+    def nan_scores(A, scaling, length=None):
+        return np.full(A.matrix.shape[0], np.nan)
+
+    monkeypatch.setattr(verify, "path_scores", nan_scores)
+    assert main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert "score_path_equals_matrix_path: max_error=nan tolerance=1.0e-12 FAIL\n" in out
+    assert err == "verification failed: score_path_equals_matrix_path\n"
 
 
 def test_seeds_change_instances_not_outcomes():
