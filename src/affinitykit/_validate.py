@@ -7,25 +7,20 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput
 
 
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a non-empty finite 2-D float array."""
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatch(
-            f"{name} must be a non-empty 2-D array, got shape {arr.shape}"
-        )
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionMismatch(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def as_matrix(value, name: str = "matrix") -> np.ndarray:
+    """Coerce to a non-empty finite 2-D float array."""
+    return _as_array(value, name, 2)
 
 
 def as_vector(value, name: str = "vector") -> np.ndarray:
     """Coerce to a non-empty finite 1-D float array."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatch(
-            f"{name} must be a non-empty 1-D array, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput(f"{name} contains NaN or infinite entries")
-    return arr
+    return _as_array(value, name, 1)

@@ -281,13 +281,10 @@ def main(argv=None) -> int:
                 return EXIT_OK
             _emit(run_attend(args) if args.command == "attend" else run_rank(args), args.output_path)
             return EXIT_OK
-        except NumericError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC_ERROR
         # A table too large for the N x N affinity is an input error, not a crash.
-        except (InputError, ValueError, OSError, MemoryError) as exc:
+        except (NumericError, InputError, ValueError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return EXIT_NUMERIC_ERROR if isinstance(exc, NumericError) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

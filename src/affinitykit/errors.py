@@ -79,7 +79,7 @@ class NonNumericCell(InputError):
 
 
 class NonConvergence(NumericError):
-    """An iterative method hit its iteration cap before stabilizing."""
+    """An iterative method hit its iteration cap; the message gives its last state."""
 
 
 class SingularSystem(NumericError):

@@ -113,36 +113,54 @@ def sym_degree_normalize(A: AffinityMatrix) -> np.ndarray:
     return m / np.sqrt(np.outer(degrees, degrees))
 
 
-def spectral_radius(A: AffinityMatrix, tol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Estimate rho(A) for a nonnegative matrix by power iteration.
+def _perron(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, float]:
+    """Power iteration on m + cI with a certified bracket lo <= rho(m) <= hi.
 
-    Iterates on A + I from the all-ones start: the shift keeps the
-    Perron pair but breaks the oscillation that plain iteration suffers
-    on periodic (e.g. bipartite) structures, and guarantees the iterate
-    never hits the null space. Convergence is declared when the Rayleigh
-    quotient's relative change drops below ``tol``; the quotient on the
-    shifted matrix is always >= 1, so the relative test is safe.
+    c = min(1, max row sum); a unit shift would slow the rate to about
+    1 - rho when rho << 1. For the iterate x > 0 (floored at 2^-600, so
+    no ratio is 0/0) and y = m x, hi = max y/x raised by (n + 2) eps for
+    rounding. lo is the best of min y/x; Wielandt's bound for z = x with
+    low-ratio and near-floor entries zeroed, (m z)_i >= y_i - rowsum_i *
+    max(x - z), which closes on reducible m; and, for symmetric m, the
+    Rayleigh quotient. Returns x and the bracket once hi - lo <= tol * hi.
     """
-    m = A.matrix
     if np.any(m < 0):
-        raise NegativeEntries("spectral radius estimation requires nonnegative entries")
+        raise NegativeEntries("power iteration requires nonnegative entries")
     if not (tol > 0 and max_iter >= 1):
         raise ValueError("tol must be positive and max_iter at least 1")
     n = m.shape[0]
-    shifted = m + np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    previous = math.inf
-    for _ in range(max_iter):
-        y = shifted @ x
-        # true Rayleigh ratio: exact at fixed points like the zero matrix
-        quotient = float(x @ y) / float(x @ x)
-        if abs(quotient - previous) <= tol * abs(quotient):
-            return max(quotient - 1.0, 0.0)
-        previous = quotient
-        x = y / np.linalg.norm(y)
-    raise NonConvergence(
-        f"Rayleigh quotient did not stabilize within {max_iter} iterations"
-    )
+    row_sums = m @ np.ones(n)
+    shift = min(1.0, float(row_sums.max()))
+    x = np.full(n, 1.0 / math.sqrt(n))
+    symmetric = False
+    for step in range(max_iter):
+        y = m @ x
+        ratios = y / x
+        hi = float(ratios.max()) * (1.0 + (n + 2) * 2.0**-52)
+        lo = float(ratios.min())
+        if x.min() <= 2 * tol:  # else some zeroed entry exceeds tol and the bound stays open
+            kept = x >= 2.0**-300  # near the floor a ratio reflects the floor, not m
+            kept &= ratios >= (1.0 - tol / 2) * ratios.max(where=kept, initial=0.0)
+            zeroed = x.max(where=~kept, initial=0.0)
+            lo = max(lo, float(((y - row_sums * zeroed) / x).min(where=kept, initial=math.inf)))
+        if step == 32:  # a bracket still open repays one transposed pass over m
+            symmetric = bool(np.array_equal(m, m.T))
+        if symmetric:
+            lo = max(lo, float(x @ y) / float(x @ x))
+        if hi - lo <= tol * hi:
+            return x, lo, hi
+        x = shift * x + y
+        x = np.maximum(x / np.linalg.norm(x), 2.0**-600)
+    raise NonConvergence(f"power iteration did not converge within {max_iter} iterations: "
+                         f"rho in [{lo!r}, {hi!r}]")
+
+
+def spectral_radius(A: AffinityMatrix, tol: float = 1e-10, max_iter: int = 1000) -> float:
+    """Certified upper bound on rho(A), at most ``tol`` relative above it.
+
+    The ``hi`` of :func:`_perron`; a nonzero nilpotent A raises with lo = 0.
+    """
+    return _perron(A.matrix, tol, max_iter)[2]
 
 
 def choose_alpha(
@@ -151,12 +169,11 @@ def choose_alpha(
     tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> AlphaScaling:
-    """Pick alpha = fraction / rho(A), placing alpha * rho at ``fraction``.
+    """Pick alpha = fraction / hi, with hi = :func:`spectral_radius`'s bound.
 
-    The zero matrix makes every alpha convergent, so the fraction itself
-    is returned. A nonzero nilpotent matrix is not detected: its rho is
-    0, but power iteration either fails to converge or settles on a
-    positive estimate.
+    Since hi >= rho(A), alpha * rho(A) <= fraction is certified, and
+    short of it by at most ``tol`` relative. The zero matrix makes every
+    alpha convergent, so the fraction itself is returned.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")

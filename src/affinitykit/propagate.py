@@ -23,7 +23,7 @@ from .errors import (
     SingularSystem,
     ZeroMatrix,
 )
-from .normalize import AlphaScaling
+from .normalize import AlphaScaling, _perron
 
 
 @dataclass(frozen=True)
@@ -168,32 +168,15 @@ def inffs_scores(ps: PathSum) -> np.ndarray:
 def eigenvector_centrality(
     A: AffinityMatrix, tol: float = 1e-10, max_iter: int = 1000
 ) -> CentralityVector:
-    """Principal eigenpair of a nonnegative matrix by power iteration.
+    """Principal eigenpair of a nonnegative matrix, from the loop behind :func:`spectral_radius`.
 
-    Same identity shift as the spectral-radius estimator (periodic
-    graphs oscillate otherwise), all-ones start. Converged when the
-    residual ||A v - lambda v|| drops below tol * lambda, with lambda
-    the Rayleigh quotient on the original matrix.
+    The unit iterate and ``hi``, equal to ``spectral_radius(A)``. Where the bracket
+    closes on min (A v)_i / v_i, as on dense A, |(A v)_i - hi v_i| <= tol * hi * v_i.
     """
-    m = A.matrix
-    if np.any(m < 0):
-        raise NegativeEntries("eigenvector centrality requires nonnegative entries")
-    if not m.any():
+    values, _, hi = _perron(A.matrix, tol, max_iter)
+    if hi == 0:  # A x = 0 for the positive iterate x: A is zero
         raise ZeroMatrix("the zero matrix has no principal eigenvector")
-    n = m.shape[0]
-    shifted = m + np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    for _ in range(max_iter):
-        x = shifted @ x
-        x /= np.linalg.norm(x)
-        image = m @ x
-        eigenvalue = float(x @ image) / float(x @ x)
-        residual = float(np.linalg.norm(image - eigenvalue * x))
-        if residual <= tol * eigenvalue:
-            return CentralityVector(x, eigenvalue=eigenvalue)
-    raise NonConvergence(
-        f"eigenvector residual did not reach tolerance within {max_iter} iterations"
-    )
+    return CentralityVector(values, eigenvalue=hi)
 
 
 def pagerank(
@@ -220,13 +203,13 @@ def pagerank(
     safe = np.where(row_sums > 0, row_sums, 1.0)
     transition = np.where(row_sums > 0, m / safe, 1.0 / n)
     uniform = np.ones(n) / n
-    pi = uniform.copy()
+    pi, change = uniform, math.inf
     for _ in range(max_iter):
         updated = damping * (pi @ transition) + (1.0 - damping) * uniform
-        if np.abs(updated - pi).sum() <= tol:
+        change = float(np.abs(updated - pi).sum())
+        if change <= tol:
             updated /= updated.sum()
             return CentralityVector(updated, damping=damping)
         pi = updated
-    raise NonConvergence(
-        f"PageRank did not reach stationarity within {max_iter} iterations"
-    )
+    raise NonConvergence(f"PageRank did not converge within {max_iter} iterations: "
+                         f"last L1 change {change!r}")

@@ -15,6 +15,7 @@ in ``_PROPERTIES``; ``run_all`` does the seeding and the reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,16 @@ def _max_abs(*diffs: np.ndarray) -> float:
 
 
 def _closed_form_vs_truncated(gen: Lcg, fraction: float) -> float:
-    """Closed form vs truncated series (N = 30, L = 60) at alpha = fraction / rho."""
+    """Closed form vs truncated series (N = 30) at alpha = fraction / rho.
+
+    L >= 60 makes the tail bound q^(L+1) / (1 - q), q = fraction >= alpha * rho, at most 1e-12.
+    """
+    length = max(60, math.ceil(math.log(1e-12 * (1 - fraction)) / math.log(fraction)))
+    if length > 10_000:
+        raise ValueError(f"alpha fraction {fraction} needs L = {length} > 10000 series terms")
     a = AffinityMatrix(gen.matrix(30, 30))
     scaling = choose_alpha(a, fraction)
-    truncated = power_series_truncated(a, scaling.alpha, 60)
+    truncated = power_series_truncated(a, scaling.alpha, length)
     return _max_abs(power_series_closed_form(a, scaling).matrix - truncated.matrix)
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +164,104 @@ class TestSpectralRadius:
         m = np.random.default_rng(0).random((6, 6))
         with pytest.raises(ak.NonConvergence):
             ak.spectral_radius(ak.AffinityMatrix(m), max_iter=1)
+
+
+def perron_root(m: np.ndarray) -> float:
+    """rho(m) as the largest eigenvalue modulus over its strongly connected blocks.
+
+    Each block is irreducible, so its Perron root is a simple eigenvalue
+    that eigvals finds to rounding; on a whole reducible matrix a defective
+    root can be off by about sqrt(eps).
+    """
+    n = m.shape[0]
+    reach = (m > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    blocks = {tuple(np.flatnonzero(reach[i] & reach[:, i])) for i in range(n)}
+    return max(float(np.abs(np.linalg.eigvals(m[np.ix_(b, b)])).max()) for b in blocks)
+
+
+def bracket(m: np.ndarray) -> tuple[float, float, bool]:
+    """(lo, hi, converged) of the Perron kernel, read from the error if it gives up."""
+    try:
+        _, lo, hi = ak.normalize._perron(m, 1e-10, 1000)
+        return lo, hi, True
+    except ak.NonConvergence as exc:
+        lo, hi = re.search(r"rho in \[(\S+), (\S+)\]", str(exc)).groups()
+        return float(lo), float(hi), False
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """Sparse nonnegative matrices, half symmetric, with disconnected blocks and zero rows."""
+    n = draw(st.integers(1, 8))
+    m = draw(arrays(np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.125, 8.0))))
+    if draw(st.booleans()):
+        m = np.triu(m) + np.triu(m, 1).T
+    block = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    m[block[:, None] != block[None, :]] = 0.0
+    zero_row = draw(st.none() | st.integers(0, n - 1))
+    if zero_row is not None:
+        m[zero_row] = 0.0
+    return m * 2.0 ** draw(st.integers(-8, 4))
+
+
+class TestPerronBracket:
+    @given(nonnegative_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_bracket_holds_converged_or_not(self, m):
+        # Rounding allowance: 4 n eps relative to the larger of rho and hi,
+        # which covers the oracle's rounding as well as the kernel's.
+        rho = perron_root(m)
+        lo, hi, _ = bracket(m)
+        slack = 4 * m.shape[0] * np.finfo(float).eps * max(rho, hi)
+        assert lo <= rho + slack and rho <= hi + slack
+
+    @pytest.mark.parametrize("m", [[[0.0, 1.0], [0.0, 0.0]],
+                                   [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]])
+    def test_nilpotent_gives_lo_zero_never_a_made_up_rho(self, m):
+        lo, hi, converged = bracket(np.array(m))
+        assert not converged and lo == 0.0 and 0.0 < hi < 0.01
+        with pytest.raises(ak.NonConvergence, match=r"within 1000 iterations: rho in \[0\.0, "):
+            ak.choose_alpha(ak.AffinityMatrix(np.array(m)), 0.5)
+
+    def test_hi_stays_an_upper_bound_after_underflow(self):
+        # The Jordan block never converges, and the isolated node's entry
+        # would underflow to 0, making its ratio 0/0, within about 420 steps.
+        lo, hi, converged = bracket(np.array([[0.0, 0, 0], [0, 5, 1], [0, 0, 5]]))
+        assert not converged and lo <= 5.0 <= hi < 5.01
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1.0, 2.0]),
+        [[0.0, 1, 1], [1, 0, 1], [0, 0, 0]],  # a sink
+        # rho = 2^-8: with a unit shift this would take thousands of steps
+        [[0.0, 2.0**-8, 0], [2.0**-8, 0, 0], [0, 0, 0]],
+        # roots 0.4 and 0.386 in two blocks: min y/x closes too slowly, the Rayleigh quotient not
+        [[0.3, 0, 0, 0.2], [0, 0.386, 0, 0], [0, 0, 0, 0], [0.2, 0, 0, 0]],
+        # rows 0, 1 and 3 sink to the floor first, where row 3's ratio settles at rho
+        [[0, 1, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 4, 0, 0], [0, 6, 0, 0, 0], [0, 0, 0, 0, 4.2]],
+    ])
+    def test_reducible_or_small_rho_converges(self, m):
+        lo, hi, converged = bracket(np.array(m))
+        assert converged and lo <= perron_root(np.array(m)) <= hi
+
+    def test_hi_covers_the_rounding_of_the_product(self):
+        # A circulant's rho is exactly its row sum, 1.58 here, and the
+        # computed max y/x rounds to 1.5799999999999998, below it.
+        row = [0.176, 0.863, 0.541]
+        a = ak.AffinityMatrix(np.array([np.roll(row, i) for i in range(3)]))
+        assert Fraction(ak.spectral_radius(a)) >= sum(map(Fraction, row))
+
+    def test_one_loop_serves_both(self):
+        a = ak.AffinityMatrix(np.random.default_rng(4).random((12, 12)))
+        assert ak.spectral_radius(a) == ak.eigenvector_centrality(a).eigenvalue
+
+    def test_sized_alpha_is_certified_on_symmetric(self):
+        m = np.random.default_rng(9).random((40, 40))
+        a = ak.AffinityMatrix(m + m.T)
+        scaling = ak.choose_alpha(a, 0.9)
+        assert scaling.rho >= np.linalg.eigvalsh(a.matrix).max()
+        assert scaling.rho <= np.linalg.eigvalsh(a.matrix).max() * (1 + 1e-10)
 
 
 class TestChooseAlpha:

@@ -311,6 +311,13 @@ class TestPagerank:
         assert np.abs(cv.values - step).sum() <= 1e-10
         assert abs(cv.values.sum() - 1.0) <= 1e-12
 
+    def test_non_convergence_reports_its_state(self):
+        with pytest.raises(ak.NonConvergence) as info:
+            ak.pagerank(ak.AffinityMatrix(CHAIN), damping=0.85, max_iter=1)
+        message = str(info.value)
+        assert message.startswith("PageRank did not converge within 1 iterations: last L1 change ")
+        assert float(message.rsplit(" ", 1)[1]) > 1e-10
+
     @pytest.mark.parametrize("damping", [0.0, 1.0, -0.5])
     def test_damping_domain(self, damping):
         with pytest.raises(ValueError):

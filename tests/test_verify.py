@@ -56,3 +56,17 @@ def test_nan_error_fails_verify(monkeypatch, capsys):
 def test_seeds_change_instances_not_outcomes():
     for seed in (0, 1, 42):
         assert all(c.passed for c in ak.run_all(seed=seed))
+
+
+def test_high_fractions_pass_at_default_tolerances():
+    # closed_form_vs_truncated sizes L from the fraction: 132 at 0.8, 285 at 0.9.
+    for fraction in (0.8, 0.9):
+        failed = [c.name for c in ak.run_all(seed=0, fraction=fraction) if not c.passed]
+        assert failed == [], fraction
+
+
+def test_fraction_needing_too_long_a_series_is_refused(capsys):
+    assert main(["verify", "--alpha-fraction", "0.999"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: alpha fraction 0.999 needs L = 34522 > 10000 series terms\n"
