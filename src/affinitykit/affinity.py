@@ -129,12 +129,8 @@ def _spearman_matrix(data: np.ndarray) -> np.ndarray:
     gram = centered.T @ centered
     diag = np.diagonal(gram)
     den2 = np.outer(diag, diag)
-    rho = np.zeros_like(gram)
-    positive = den2 > 0
-    rho[positive] = gram[positive] / np.sqrt(den2[positive])
-    boundary = positive & (gram * gram >= den2)
-    rho[boundary] = np.sign(gram[boundary])
-    return rho
+    rho = np.divide(gram, np.sqrt(den2), out=np.zeros_like(gram), where=den2 > 0)
+    return np.where((den2 > 0) & (gram * gram >= den2), np.sign(gram), rho)
 
 
 def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix:
@@ -189,13 +185,13 @@ def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
 
     The diagonal is exactly 1 (self-similarity); entries lie in (0, 1].
     Each pair's distance is computed independently, so permuting the rows
-    of X permutes the output exactly.
+    of X permutes the output exactly. Distances are reduced one row of the
+    output at a time, so the scratch beside the N x N result is O(N*d).
     """
     x = as_matrix(X, "X")
     if not h > 0:
         raise NonPositiveBandwidth(f"bandwidth must be positive, got {h}")
-    diff = x[:, None, :] - x[None, :, :]
-    sq_dist = (diff * diff).sum(axis=-1)
+    sq_dist = np.array([((x - row) ** 2).sum(axis=1) for row in x])
     return AffinityMatrix(np.exp(-sq_dist / (h * h)), nonnegative=True, zero_diagonal=False)
 
 

@@ -200,8 +200,7 @@ def pagerank(
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
     n = m.shape[0]
     row_sums = m.sum(axis=1, keepdims=True)
-    safe = np.where(row_sums > 0, row_sums, 1.0)
-    transition = np.where(row_sums > 0, m / safe, 1.0 / n)
+    transition = np.divide(m, row_sums, out=np.full_like(m, 1.0 / n), where=row_sums > 0)
     uniform = np.ones(n) / n
     pi, change = uniform, math.inf
     for _ in range(max_iter):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,27 @@ class TestGaussianAffinity:
     def test_bandwidth_must_be_positive(self, h):
         with pytest.raises(ak.NonPositiveBandwidth):
             ak.build_gaussian_affinity([[0.0], [1.0]], h)
+
+    def test_scratch_is_not_n_squared_times_d(self):
+        # The N x N x d difference tensor alone would be 128 times the result.
+        x = np.random.default_rng(3).normal(size=(256, 128))
+        tracemalloc.start()
+        try:
+            ak.build_gaussian_affinity(x, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 256 * 256 * 8
+
+    # d up to 300 crosses numpy's 8- and 128-element pairwise-summation blocks.
+    @given(st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3))
+    @settings(max_examples=60)
+    def test_same_bits_as_broadcast_formula(self, n, d, seed, h):
+        x = np.random.default_rng(seed).normal(size=(n, d)) * 10.0 ** (seed % 7 - 3)
+        diff = x[:, None, :] - x[None, :, :]
+        reference = np.exp(-(diff * diff).sum(axis=-1) / (h * h))
+        assert_array_equal(ak.build_gaussian_affinity(x, h).matrix, reference)
 
 
 class TestGatScores:

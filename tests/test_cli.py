@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import affinitykit as ak
@@ -424,3 +427,65 @@ class TestErrorReporting:
         result = run_cli("rank", "--bogus")
         assert result.returncode == 2
         assert len(result.stderr.strip().splitlines()) == 1
+
+
+# Cells a CSV writer or a hand-edited file could hold: numbers of every
+# magnitude, tokens float() reads but a naive parser would not (or the
+# reverse), quoting, a byte-order mark, and arbitrary short text.
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+_CELLS = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["", " ", "1e999", "-1e308", "nan", "inf", "1_0", "\uff11", "0x10",
+                     '"1"', '"a,b"', '"1\n2"', '"', "a", "\ufeff1", "\x00"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header row, then a numeric body or rows of numbers, mixed cells or any width."""
+    width = draw(st.integers(1, 4))
+    numeric, mixed = (st.lists(cells, min_size=width, max_size=width) for cells in (_NUMBERS, _CELLS))
+    header = draw(st.one_of(st.just([f"f{j}" for j in range(width)]), mixed))
+    body = draw(st.one_of(st.lists(numeric, min_size=2, max_size=6),
+                          st.lists(st.one_of(numeric, mixed, st.lists(_CELLS, max_size=5)), max_size=6)))
+    rows = [header, *body]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(",".join(cells) for cells in rows) + draw(st.sampled_from(["", newline]))
+
+
+_FUZZ_COMMANDS = [
+    ["rank"], ["rank", "--method", "ec"], ["rank", "--method", "pagerank", "--format", "csv"],
+    ["rank", "--truncation", "3"], ["select", "--k", "2"], ["attend"], ["attend", "--heads", "2"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.csv"
+
+
+class TestNoTraceback:
+    @given(
+        st.one_of(_csv_texts().map(lambda text: text.encode("utf-8")), st.binary(max_size=64)),
+        st.sampled_from(_FUZZ_COMMANDS),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_input_exits_0_2_or_3_with_one_line_on_failure(self, fuzz_path, content, command,
+                                                               no_header):
+        fuzz_path.write_bytes(content)
+        argv = [*command, "--input", str(fuzz_path)] + (["--no-header"] if no_header else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code in (2, 3)
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
