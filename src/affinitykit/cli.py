@@ -82,7 +82,15 @@ def _read_table(path: str, header: bool) -> tuple[list[str], np.ndarray]:
     for line, row in body:
         if len(row) != width:
             raise RaggedRows(f"line {line} has {len(row)} cells, expected {width}")
-        data.append([_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)])
+        try:
+            values = list(map(float, row))
+            parsed = all(map(math.isfinite, values))
+        except ValueError:
+            parsed = False
+        if not parsed:
+            # Only a failing row is parsed cell by cell, to name its first bad cell.
+            values = [_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)]
+        data.append(values)
     return first, np.asarray(data, dtype=float)
 
 
@@ -154,6 +162,28 @@ def _seeded_projections(gen: Lcg, d_model: int, heads: int, d_k: int) -> Project
     return ProjectionSet(tuple(wq), tuple(wk), tuple(wv), wout)
 
 
+def _dumps_indented(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` for a flat object whose values
+    are scalars or matrices with at least one row and one column.
+
+    ``json.dumps`` takes its C encoder only without ``indent``, so each
+    matrix row is encoded flat and then broken into indented lines; float
+    ``repr`` never contains ``", "``. NaN and infinities are spelled as the
+    indenting encoder spells them.
+    """
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            rows = "\n    ],\n    [\n      ".join(
+                json.dumps(row)[1:-1].replace(", ", ",\n      ") for row in value.tolist()
+            )
+            text = f"[\n    [\n      {rows}\n    ]\n  ]"
+        else:
+            text = json.dumps(value)
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def run_attend(args: argparse.Namespace) -> str:
     """Seeded multi-head self-attention demo over token embeddings."""
     x = load_matrix_csv(args.input_path, header=not args.no_header)
@@ -171,10 +201,10 @@ def run_attend(args: argparse.Namespace) -> str:
         "heads": args.heads,
         "d_model": d_model,
         "seed": args.seed,
-        "weights_head1": softmax_rows(head1_scores).tolist(),
-        "output": output.tolist(),
+        "weights_head1": softmax_rows(head1_scores),
+        "output": output,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _dumps_indented(payload)
 
 
 def run_verify(args: argparse.Namespace) -> tuple[str, bool, str | None]:

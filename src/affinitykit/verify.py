@@ -5,8 +5,9 @@ around: the closed-form path series against its truncation, the one-hop
 degeneration to weighted degrees, the non-local block's reduction to
 attention, the GAT layer's reduction to dense concat-scored attention,
 the stacking-equals-multi-hop composition law, permutation
-equivariance of the ranking scores, and the score-only path series
-against the row sums of the path matrix.
+equivariance of the ranking scores, the score-only path series
+against the row sums of the path matrix, and the generator's
+block-jumped draws against its one-step recurrence.
 
 A property is a function ``(gen, fraction) -> error`` that draws one
 instance from ``gen`` and returns its largest absolute error, plus a row
@@ -123,13 +124,17 @@ def _stacking_composition(gen: Lcg, fraction: float) -> float:
 
 
 def _permutation_equivariance(gen: Lcg, fraction: float) -> float:
-    """Ranking scores of P A P^T are the permuted ranking scores of A."""
+    """Ranking scores of P A P^T are the permuted ranking scores of A.
+
+    Alpha * rho is fixed at 0.5 whatever ``fraction`` is: the scores grow
+    like 1 / (1 - alpha * rho), and the 1e-12 budget is absolute.
+    """
     n = gen.randint(2, 20)
     a = AffinityMatrix(gen.matrix(n, n))
     perm = gen.permutation(n)
     permuted = AffinityMatrix(a.matrix[np.ix_(perm, perm)])
     # One shared scaling: the spectrum is permutation-invariant.
-    scaling = choose_alpha(a, fraction)
+    scaling = choose_alpha(a, 0.5)
     base = inffs_scores(power_series_closed_form(a, scaling))
     return _max_abs(inffs_scores(power_series_closed_form(permuted, scaling)) - base[perm])
 
@@ -147,6 +152,19 @@ def _score_path_equals_matrix_path(gen: Lcg, fraction: float) -> float:
     return _max_abs(path_scores(a, scaling) - closed, path_scores(a, scaling, 60) - truncated)
 
 
+def _block_draws_equal_scalar_draws(gen: Lcg, fraction: float) -> float:
+    """Lcg.matrix's block-jumped draws equal one next_u64 step per draw.
+
+    The count crosses the 4096-draw block boundary. The error is the
+    largest draw difference, or 1 if the generators end on different states.
+    """
+    seed, count = gen.next_u64(), gen.randint(4097, 4160)
+    block, scalar = Lcg(seed), Lcg(seed)
+    drawn = block.matrix(1, count)[0]
+    stepped = np.array([scalar.next_u64() >> 11 for _ in range(count)], dtype=np.float64) * 2.0**-53
+    return max(_max_abs(drawn - stepped), float(block.state != scalar.state))
+
+
 # (name, one instance's error, default tolerance), in report order.
 _PROPERTIES = (
     ("closed_form_vs_truncated", _closed_form_vs_truncated, 1e-8),
@@ -156,6 +174,7 @@ _PROPERTIES = (
     ("stacking_composition", _stacking_composition, 1e-10),
     ("permutation_equivariance", _permutation_equivariance, 1e-12),
     ("score_path_equals_matrix_path", _score_path_equals_matrix_path, 1e-12),
+    ("block_draws_equal_scalar_draws", _block_draws_equal_scalar_draws, 0.0),
 )
 
 

@@ -2,18 +2,30 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import affinitykit as ak
-from affinitykit.cli import build_parser, load_csv, load_matrix_csv, main, run_rank
+from affinitykit.cli import (
+    _parse_cell,
+    _read_table,
+    build_parser,
+    load_csv,
+    load_matrix_csv,
+    main,
+    run_attend,
+    run_rank,
+)
+from affinitykit.errors import EmptyFile, InputError, RaggedRows
 
 DATA = Path(__file__).parent / "data"
 CORR_FIXTURE = DATA / "corr_fixture.csv"
@@ -316,12 +328,40 @@ class TestAttendCommand:
         assert result.returncode == 2
 
 
+# JSON's corner floats: NaN and the infinities (spelled NaN and Infinity),
+# a signed zero, the least subnormal and a near-maximal magnitude.
+_JSON_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+
+
+@st.composite
+def _json_matrices(draw):
+    rows, cols = draw(st.one_of(st.just((1, 1)), st.tuples(st.just(1), st.integers(1, 6)),
+                                st.tuples(st.integers(1, 6), st.just(1)),
+                                st.tuples(st.integers(1, 6), st.integers(1, 6))))
+    values = draw(st.lists(_JSON_FLOATS, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=float).reshape(rows, cols)
+
+
+class TestAttendSerializer:
+    @given(_json_matrices(), _json_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_the_indenting_encoder(self, weights, output):
+        args = build_parser().parse_args(["attend", "--input", str(TOKENS_FIXTURE), "--heads", "2",
+                                          "--seed", "5"])
+        with mock.patch("affinitykit.cli.softmax_rows", return_value=weights), \
+                mock.patch("affinitykit.cli.multi_head_attention", return_value=output):
+            text = run_attend(args)
+        payload = {"heads": 2, "d_model": 4, "seed": 5,
+                   "weights_head1": weights.tolist(), "output": output.tolist()}
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+
 class TestVerifyCommand:
     def test_default_run_passes(self):
         result = run_cli("verify")
         assert result.returncode == 0 and result.stderr == ""
         lines = result.stdout.strip().splitlines()
-        assert len(lines) == 7 and all(line.endswith("PASS") for line in lines)
+        assert len(lines) == 8 and all(line.endswith("PASS") for line in lines)
 
     def test_corrupted_tolerance_names_first_failure(self):
         result = run_cli("verify", "--tolerance", "1e-30")
@@ -489,3 +529,50 @@ class TestNoTraceback:
             assert code in (2, 3)
             assert out.getvalue() == ""
             assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+
+
+def _read_table_per_cell(path, header):
+    """The reference reader: every cell of every row through ``_parse_cell``."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:  # Python 3.10's reader rejects NUL
+            raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
+    first, body = rows[0][1], rows[1:] if header else rows
+    if not body:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    data = []
+    for line, row in body:
+        if len(row) != len(first):
+            raise RaggedRows(f"line {line} has {len(row)} cells, expected {len(first)}")
+        data.append([_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)])
+    return first, np.asarray(data, dtype=float)
+
+
+def _outcome(read, path, header):
+    try:
+        first, data = read(path, header)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return first, data.shape, data.tobytes()
+
+
+@st.composite
+def _tables(draw):
+    """A header, then rows that are mostly the header's width, of TestNoTraceback's cells."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(_CELLS, min_size=width, max_size=width)
+    body = draw(st.lists(st.one_of(st.lists(_NUMBERS, min_size=width, max_size=width), row,
+                                   st.lists(_CELLS, max_size=5)), min_size=1, max_size=6))
+    return "\n".join(",".join(cells) for cells in [[f"f{j}" for j in range(width)], *body]) + "\n"
+
+
+class TestRowWiseIngest:
+    @given(_tables(), st.booleans())
+    @example("f0,f1\n1,2\n1e999,x\n", True)  # a non-finite cell before a non-numeric one
+    @example("f0,f1\n1_0,\uff11\n 1 ,nan\n", True)
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_or_error_as_per_cell_parse(self, fuzz_path, text, header):
+        fuzz_path.write_text(text, encoding="utf-8")
+        assert _outcome(_read_table, fuzz_path, header) == _outcome(_read_table_per_cell, fuzz_path, header)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinitykit.rng import Lcg
 
@@ -66,3 +68,30 @@ def test_permutation_is_fisher_yates():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         Lcg(-1)
+
+
+# Counts on both sides of Lcg.matrix's 4096-draw blocks, and across several.
+_COUNTS = st.one_of(st.sampled_from([0, 1, 4095, 4096, 4097, 3 * 4096 + 5]), st.integers(0, 3 * 4096 + 5))
+
+
+@given(
+    st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    _COUNTS,
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_draws_equal_the_scalar_recurrence(seed, count, column):
+    shape = (count, 1) if column else (1, count)
+    gen = Lcg(seed)
+    out = gen.matrix(*shape, -0.1, 0.1)
+    states = mmix_states(seed, count + 10)
+    assert out.shape == shape
+    assert out.ravel().tolist() == [-0.1 + 0.2 * ((s >> 11) / 2**53) for s in states[:count]]
+    assert gen.state == (states[count - 1] if count else seed)
+    # randint and permutation continue the same stream.
+    assert gen.randint(3, 9) == 3 + states[count] % 7
+    expected = list(range(10))
+    for i, s in zip(range(9, 0, -1), states[count + 1:]):
+        j = s % (i + 1)
+        expected[i], expected[j] = expected[j], expected[i]
+    assert gen.permutation(10).tolist() == expected
