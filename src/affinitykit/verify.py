@@ -6,8 +6,9 @@ degeneration to weighted degrees, the non-local block's reduction to
 attention, the GAT layer's reduction to dense concat-scored attention,
 the stacking-equals-multi-hop composition law, permutation
 equivariance of the ranking scores, the score-only path series
-against the row sums of the path matrix, and the generator's
-block-jumped draws against its one-step recurrence.
+against the row sums of the path matrix, the generator's
+block-jumped draws against its one-step recurrence, and attention in
+query-row blocks against the dense formula.
 
 A property is a function ``(gen, fraction) -> error`` that draws one
 instance from ``gen`` and returns its largest absolute error, plus a row
@@ -22,8 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import AffinityMatrix, build_gat_scores
-from .attention import GatParams, NonLocalProjections, attention, gat_layer, non_local_block
-from .normalize import NeighborhoodMask, choose_alpha, softmax_rows
+from .attention import (
+    _BLOCK_BYTES,
+    GatParams,
+    NonLocalProjections,
+    attention,
+    gat_layer,
+    non_local_block,
+)
+from .normalize import NeighborhoodMask, choose_alpha, scale_scores, softmax_rows
 from .propagate import (
     inffs_scores,
     path_scores,
@@ -165,6 +173,21 @@ def _block_draws_equal_scalar_draws(gen: Lcg, fraction: float) -> float:
     return max(_max_abs(drawn - stepped), float(block.state != scalar.state))
 
 
+def _blocked_attention_equals_dense(gen: Lcg, fraction: float) -> float:
+    """attention(), one block of query rows at a time, equals the dense formula.
+
+    The keys make a block of ``_BLOCK_BYTES`` of scores 32 rows tall, and
+    the queries fill two blocks and part of a third.
+    """
+    keys, step = _BLOCK_BYTES // (8 * 32), 32
+    d = gen.randint(1, 8)
+    q = gen.matrix(2 * step + gen.randint(1, step - 1), d, -2.0, 2.0)
+    k = gen.matrix(keys, d, -2.0, 2.0)
+    v = gen.matrix(keys, gen.randint(1, 4), -5.0, 5.0)
+    dense = softmax_rows(scale_scores(q @ k.T, d)) @ v
+    return _max_abs(attention(q, k, v) - dense)
+
+
 # (name, one instance's error, default tolerance), in report order.
 _PROPERTIES = (
     ("closed_form_vs_truncated", _closed_form_vs_truncated, 1e-8),
@@ -175,6 +198,7 @@ _PROPERTIES = (
     ("permutation_equivariance", _permutation_equivariance, 1e-12),
     ("score_path_equals_matrix_path", _score_path_equals_matrix_path, 1e-12),
     ("block_draws_equal_scalar_draws", _block_draws_equal_scalar_draws, 0.0),
+    ("blocked_attention_equals_dense", _blocked_attention_equals_dense, 1e-12),
 )
 
 

@@ -1,11 +1,13 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import affinitykit as ak
+from affinitykit.attention import _BLOCK_BYTES
 
 
 def reference_multi_head(x, wq, wk, wv, wout, scale):
@@ -264,6 +266,66 @@ class TestMultiHeadGat:
             ak.multi_head_gat(h, [], mask)
         with pytest.raises(ValueError):
             ak.multi_head_gat(h, [self._params(rng)], mask, mode="sum")
+
+
+def dense_attention(q, k, v, scale=True):
+    """The whole score matrix at once, in plain numpy."""
+    scores = q @ k.T
+    if scale:
+        scores = scores / math.sqrt(q.shape[1])
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True) @ v
+
+
+def block_rows(n_keys):
+    """Query rows per block of attention scores."""
+    return max(1, _BLOCK_BYTES // (8 * n_keys))
+
+
+def assert_close_to(out, ref):
+    assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+class TestQueryRowBlocks:
+    # (queries, keys, width): 4096 keys make 32-row blocks, 600 keys 218-row
+    # blocks, and 2**17 + 3 keys 1-row blocks; each case ends on a partial block.
+    @pytest.mark.parametrize("n_q, n_k, d", [(100, 4096, 16), (600, 600, 5), (3, 2**17 + 3, 2)])
+    def test_attention_equals_dense_formula(self, n_q, n_k, d):
+        rows = block_rows(n_k)
+        assert n_q > rows and (n_q % rows or rows == 1)  # the shape still crosses blocks
+        rng = np.random.default_rng(n_k)
+        q, k, v = rng.normal(size=(n_q, d)) * 2, rng.normal(size=(n_k, d)) * 2, rng.normal(size=(n_k, 3))
+        for scale in (True, False):
+            assert_close_to(ak.attention(q, k, v, scale=scale), dense_attention(q, k, v, scale))
+
+    def test_multi_head_attention_equals_dense_formula(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(600, 8))
+        cfg = ak.AttentionConfig(d_model=8, heads=2, d_k=4)
+        proj = ak.ProjectionSet(*(tuple(rng.normal(size=(8, 4)) for _ in range(2)) for _ in range(3)),
+                                rng.normal(size=(8, 8)))
+        heads = [dense_attention(x @ wq, x @ wk, x @ wv) for wq, wk, wv in zip(proj.wq, proj.wk, proj.wv)]
+        assert_close_to(ak.multi_head_attention(x, cfg, proj), np.hstack(heads) @ proj.wout)
+
+    def test_non_local_variants_equal_dense_formula(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(600, 6))
+        proj = ak.NonLocalProjections(*(rng.normal(size=(6, 6)) * 0.5 for _ in range(3)))
+        theta, phi, g = x @ proj.wtheta, x @ proj.wphi, x @ proj.wg
+        assert_close_to(ak.non_local_block(x, proj) - x, dense_attention(theta, phi, g, scale=False))
+        assert_close_to(ak.non_local_block(x, proj, "dot_product") - x, theta @ phi.T / 600 @ g)
+
+    def test_attention_scratch_is_one_block_not_n_by_n(self):
+        # One 2048 x 2048 score matrix alone is 32 MB.
+        rng = np.random.default_rng(33)
+        q, k, v = (rng.normal(size=(2048, 64)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            ak.attention(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 # Boundary checks: every attention-family entry point validates its own

@@ -361,7 +361,7 @@ class TestVerifyCommand:
         result = run_cli("verify")
         assert result.returncode == 0 and result.stderr == ""
         lines = result.stdout.strip().splitlines()
-        assert len(lines) == 8 and all(line.endswith("PASS") for line in lines)
+        assert len(lines) == 9 and all(line.endswith("PASS") for line in lines)
 
     def test_corrupted_tolerance_names_first_failure(self):
         result = run_cli("verify", "--tolerance", "1e-30")

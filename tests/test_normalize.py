@@ -245,6 +245,17 @@ class TestPerronBracket:
         lo, hi, converged = bracket(np.array(m))
         assert converged and lo <= perron_root(np.array(m)) <= hi
 
+    @pytest.mark.parametrize("scale", [1.0, 0.01])
+    def test_weighted_bipartite_path_converges_at_any_scale(self, scale):
+        # rho = 182.514 at scale 1. A shift of 1 decays the mode at -rho by
+        # (rho - 1) / (rho + 1) = 0.989 per step, and 1000 steps left the
+        # bracket open; a shift that scales with the matrix closes it.
+        m = np.zeros((4, 4))
+        m[[0, 1, 2], [1, 2, 3]] = m[[1, 2, 3], [0, 1, 2]] = np.array([50.0, 100.0, 150.0]) * scale
+        rho = np.linalg.eigvalsh(m).max()
+        hi = ak.spectral_radius(ak.AffinityMatrix(m))
+        assert rho * (1 - 1e-14) <= hi <= rho * (1 + 1e-10)
+
     def test_hi_covers_the_rounding_of_the_product(self):
         # A circulant's rho is exactly its row sum, 1.58 here, and the
         # computed max y/x rounds to 1.5799999999999998, below it.

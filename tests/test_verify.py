@@ -7,7 +7,7 @@ from affinitykit.cli import main
 
 def test_all_properties_pass_at_default_tolerances():
     checks = ak.run_all(seed=0)
-    assert len(checks) == 8
+    assert len(checks) == 9
     for check in checks:
         assert check.passed, f"{check.name}: {check.max_error} > {check.tolerance}"
 
@@ -23,6 +23,7 @@ def test_property_names_are_stable():
         "permutation_equivariance",
         "score_path_equals_matrix_path",
         "block_draws_equal_scalar_draws",
+        "blocked_attention_equals_dense",
     ]
 
 
