@@ -89,6 +89,10 @@ class AffinityMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def __array__(self, dtype=None, copy=None):
+        """The matrix, so every stage that takes an array takes an AffinityMatrix."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
 
 def _average_ranks(data: np.ndarray) -> np.ndarray:
     """Column-wise 1-based ranks; tied entries share the mean of their positions."""

@@ -62,35 +62,39 @@ def _parse_cell(token: str, line: int, column: int) -> float:
 
 
 def _read_table(path: str, header: bool) -> tuple[list[str], np.ndarray]:
-    """The first row's cells and the numeric body (every row when ``header`` is false)."""
+    """The first row's cells and the numeric body (every row when ``header`` is false).
+
+    Rows are parsed as they are read, so the first fault in file order is the one reported.
+    """
+    first, data = None, []
     # utf-8-sig drops a byte-order mark, which would otherwise prefix the first name.
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            # Blank lines are skipped, so each row keeps the file line it ended on.
-            rows = [(reader.line_num, row) for row in reader if row]
+            # Blank lines are skipped; line_num still counts them, so a row keeps its file line.
+            for row in filter(None, reader):
+                if first is None:
+                    first = row
+                    if header:
+                        continue
+                line = reader.line_num
+                if len(row) != len(first):
+                    raise RaggedRows(f"line {line} has {len(row)} cells, expected {len(first)}")
+                try:
+                    values = list(map(float, row))
+                    parsed = all(map(math.isfinite, values))
+                except ValueError:
+                    parsed = False
+                if not parsed:
+                    # Only a failing row is parsed cell by cell, to name its first bad cell.
+                    values = [_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)]
+                data.append(values)
         except csv.Error as exc:
             raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
-    if not rows:
+    if first is None:
         raise EmptyFile(f"{path} contains no rows")
-    body = rows[1:] if header else rows
-    if not body:
+    if not data:
         raise EmptyFile(f"{path} has a header but no data rows")
-    first = rows[0][1]
-    width = len(first)
-    data = []
-    for line, row in body:
-        if len(row) != width:
-            raise RaggedRows(f"line {line} has {len(row)} cells, expected {width}")
-        try:
-            values = list(map(float, row))
-            parsed = all(map(math.isfinite, values))
-        except ValueError:
-            parsed = False
-        if not parsed:
-            # Only a failing row is parsed cell by cell, to name its first bad cell.
-            values = [_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)]
-        data.append(values)
     return first, np.asarray(data, dtype=float)
 
 

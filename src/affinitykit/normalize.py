@@ -122,18 +122,19 @@ def _perron(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float
     shift gives (rho - 1) / (rho + 1) when rho >> 1 and a rate of about
     1 - rho when rho << 1. For the iterate x > 0 (floored at 2^-600, so
     no ratio is 0/0) and y = m x, hi = max y/x raised by (n + 2) eps for
-    rounding. lo is the best of min y/x; Wielandt's bound for z = x with
-    low-ratio and near-floor entries zeroed, (m z)_i >= y_i - rowsum_i *
-    max(x - z), which closes on reducible m; and, for symmetric m, the
-    Rayleigh quotient. Returns x and the bracket once hi - lo <= tol * hi.
+    rounding. lo is the best of min y/x; while the bracket is open, the
+    Collatz-Wielandt bound min (m_KK x_K) / x_K, which holds for any
+    block K since rho(m) >= rho(m_KK), on two blocks away from the floor:
+    the near-top ratios, which close on reducible m, and every nonzero
+    ratio, which drops the sinks; and, for symmetric m, the Rayleigh
+    quotient. Returns x and the bracket once hi - lo <= tol * hi.
     """
     if np.any(m < 0):
         raise NegativeEntries("power iteration requires nonnegative entries")
     if not (tol > 0 and max_iter >= 1):
         raise ValueError("tol must be positive and max_iter at least 1")
     n = m.shape[0]
-    row_sums = m @ np.ones(n)
-    shift = 0.1 * float(row_sums.max())
+    shift = 0.1 * float((m @ np.ones(n)).max())
     x = np.full(n, 1.0 / math.sqrt(n))
     symmetric = False
     for step in range(max_iter):
@@ -141,11 +142,12 @@ def _perron(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float
         ratios = y / x
         hi = float(ratios.max()) * (1.0 + (n + 2) * 2.0**-52)
         lo = float(ratios.min())
-        if x.min() <= 2 * tol:  # else some zeroed entry exceeds tol and the bound stays open
-            kept = x >= 2.0**-300  # near the floor a ratio reflects the floor, not m
-            kept &= ratios >= (1.0 - tol / 2) * ratios.max(where=kept, initial=0.0)
-            zeroed = x.max(where=~kept, initial=0.0)
-            lo = max(lo, float(((y - row_sums * zeroed) / x).min(where=kept, initial=math.inf)))
+        if hi - lo > tol * hi:
+            live = x >= 2.0**-300  # near the floor a ratio reflects the floor, not m
+            top = ratios >= (1.0 - tol / 2) * ratios.max(where=live, initial=0.0)
+            for kept in (live & top, live & (top | (ratios > 0))):
+                inner = y[kept] - m[np.ix_(kept, ~kept)] @ x[~kept]  # m_KK x_K
+                lo = max(lo, float((inner / x[kept]).min()))
         if step == 32:  # a bracket still open repays one transposed pass over m
             symmetric = bool(np.array_equal(m, m.T))
         if symmetric:

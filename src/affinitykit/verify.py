@@ -7,7 +7,7 @@ attention, the GAT layer's reduction to dense concat-scored attention,
 the stacking-equals-multi-hop composition law, permutation
 equivariance of the ranking scores, the score-only path series
 against the row sums of the path matrix, the generator's
-block-jumped draws against its one-step recurrence, and attention in
+closed-form draws against its one-step recurrence, and attention in
 query-row blocks against the dense formula.
 
 A property is a function ``(gen, fraction) -> error`` that draws one
@@ -161,10 +161,10 @@ def _score_path_equals_matrix_path(gen: Lcg, fraction: float) -> float:
 
 
 def _block_draws_equal_scalar_draws(gen: Lcg, fraction: float) -> float:
-    """Lcg.matrix's block-jumped draws equal one next_u64 step per draw.
+    """Lcg.matrix's closed-form draws equal one next_u64 step per draw.
 
-    The count crosses the 4096-draw block boundary. The error is the
-    largest draw difference, or 1 if the generators end on different states.
+    The error is the largest draw difference, or 1 if the generators end
+    on different states.
     """
     seed, count = gen.next_u64(), gen.randint(4097, 4160)
     block, scalar = Lcg(seed), Lcg(seed)

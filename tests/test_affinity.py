@@ -72,6 +72,22 @@ class TestAffinityMatrixType:
         with pytest.raises(ak.NonFiniteInput):
             ak.AffinityMatrix(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")  # numpy 2 warns on an __array__ without ``copy``
+    @pytest.mark.parametrize("build", [lambda x: ak.build_dot_product_affinity(x, x),
+                                       lambda x: ak.build_gaussian_affinity(x, 1.5)],
+                             ids=["dot_product", "gaussian"])
+    def test_every_array_stage_takes_a_builders_output(self, build):
+        rng = np.random.default_rng(5)
+        x, v = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+        mask = ak.NeighborhoodMask(np.eye(6, dtype=bool) | (rng.random((6, 6)) < 0.5))
+        aff = build(x)
+        assert isinstance(aff, ak.AffinityMatrix)
+        m = aff.matrix
+        assert_array_equal(ak.softmax_rows(aff), ak.softmax_rows(m))
+        assert_array_equal(ak.scale_scores(aff, 3), ak.scale_scores(m, 3))
+        assert_array_equal(ak.masked_softmax_rows(aff, mask), ak.masked_softmax_rows(m, mask))
+        assert_array_equal(ak.single_hop_aggregate(aff, v), ak.single_hop_aggregate(m, v))
+
 
 class TestCorrAffinity:
     def test_identical_columns_give_exact_zero(self):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -131,6 +132,30 @@ class TestLoadCsv:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "long.csv, line 3" in captured.err
+
+    def test_two_faults_report_the_first_in_file_order(self, tmp_path, capsys):
+        # A bad cell on line 3 and, on line 5, a field over the csv module's size limit.
+        path = tmp_path / "two_faults.csv"
+        path.write_text("a,b\n1,2\nx,3\n4,5\n6," + "9" * 200000 + "\n")
+        assert main(["rank", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3, column 1: 'x' is not a number\n"
+
+    def test_ingest_peak_memory_is_a_small_multiple_of_the_table(self, tmp_path):
+        # Rows are parsed as they are read: no list of every row's strings is kept.
+        path = tmp_path / "table.csv"
+        x = np.random.default_rng(7).standard_normal((1000, 100))
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in x.tolist()))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            data = _read_table(str(path), header=False)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.tobytes() == x.tobytes()
+        assert peak <= 8 * data.nbytes
 
     @pytest.mark.parametrize("command", [["rank"], ["select", "--k", "1"], ["attend"]])
     def test_header_only_table_is_one_line_input_error(self, tmp_path, capsys, command):
@@ -532,21 +557,26 @@ class TestNoTraceback:
 
 
 def _read_table_per_cell(path, header):
-    """The reference reader: every cell of every row through ``_parse_cell``."""
+    """The reference reader: every cell of every row through ``_parse_cell``, rows in file order."""
+    first, data = None, []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            rows = [(reader.line_num, row) for row in reader if row]
+            for row in reader:
+                if not row:
+                    continue
+                if first is None:
+                    first = row
+                    if header:
+                        continue
+                line = reader.line_num
+                if len(row) != len(first):
+                    raise RaggedRows(f"line {line} has {len(row)} cells, expected {len(first)}")
+                data.append([_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)])
         except csv.Error as exc:  # Python 3.10's reader rejects NUL
             raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
-    first, body = rows[0][1], rows[1:] if header else rows
-    if not body:
+    if not data:
         raise EmptyFile(f"{path} has a header but no data rows")
-    data = []
-    for line, row in body:
-        if len(row) != len(first):
-            raise RaggedRows(f"line {line} has {len(row)} cells, expected {len(first)}")
-        data.append([_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)])
     return first, np.asarray(data, dtype=float)
 
 

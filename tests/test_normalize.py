@@ -240,6 +240,9 @@ class TestPerronBracket:
         [[0.3, 0, 0, 0.2], [0, 0.386, 0, 0], [0, 0, 0, 0], [0.2, 0, 0, 0]],
         # rows 0, 1 and 3 sink to the floor first, where row 3's ratio settles at rho
         [[0, 1, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 4, 0, 0], [0, 6, 0, 0, 0], [0, 0, 0, 0, 4.2]],
+        # roots 1 and 0.983 in two blocks: the second block's entries stay
+        # above tol for 1000 steps, so lo must come from the top block alone
+        [[0.4, 0.3, 0, 0], [1.0, 0.5, 0, 0], [0, 0, 0.8, 0.9], [0, 0, 0.2, 0]],
     ])
     def test_reducible_or_small_rho_converges(self, m):
         lo, hi, converged = bracket(np.array(m))

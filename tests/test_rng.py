@@ -70,7 +70,6 @@ def test_negative_seed_rejected():
         Lcg(-1)
 
 
-# Counts on both sides of Lcg.matrix's 4096-draw blocks, and across several.
 _COUNTS = st.one_of(st.sampled_from([0, 1, 4095, 4096, 4097, 3 * 4096 + 5]), st.integers(0, 3 * 4096 + 5))
 
 
