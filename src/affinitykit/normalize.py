@@ -114,56 +114,107 @@ def sym_degree_normalize(A: AffinityMatrix) -> np.ndarray:
     return m / np.sqrt(np.outer(degrees, degrees))
 
 
-def _perron(m: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, float]:
-    """Power iteration on m + cI with a certified bracket lo <= rho(m) <= hi.
+def _reach(edges: np.ndarray, start: int, skip: np.ndarray) -> np.ndarray:
+    """Mask of the nodes that paths from ``start`` outside ``skip`` lead to, i to j
+    where edges[i, j]. Each step reads only the frontier's edges to new nodes."""
+    found = np.zeros(len(edges), dtype=bool)
+    found[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        free = np.flatnonzero(~(found | skip))
+        frontier = free[edges[np.ix_(frontier, free)].any(axis=0)]
+        found[frontier] = True
+    return found
 
-    c = max row sum / 10 scales with m: the mode at -rho of a bipartite
-    m then decays by at least 9/11 per step at any magnitude, where a unit
-    shift gives (rho - 1) / (rho + 1) when rho >> 1 and a rate of about
-    1 - rho when rho << 1. For the iterate x > 0 (floored at 2^-600, so
-    no ratio is 0/0) and y = m x, hi = max y/x raised by (n + 2) eps for
-    rounding. lo is the best of min y/x; while the bracket is open, the
-    Collatz-Wielandt bound min (m_KK x_K) / x_K, which holds for any
-    block K since rho(m) >= rho(m_KK), on two blocks away from the floor:
-    the near-top ratios, which close on reducible m, and every nonzero
-    ratio, which drops the sinks; and, for symmetric m, the Rayleigh
-    quotient. Returns x and the bracket once hi - lo <= tol * hi.
-    """
-    if np.any(m < 0):
-        raise NegativeEntries("power iteration requires nonnegative entries")
-    if not (tol > 0 and max_iter >= 1):
-        raise ValueError("tol must be positive and max_iter at least 1")
+
+def _classes(edges: np.ndarray) -> np.ndarray:
+    """Label of each node's strongly connected class: the unlabelled nodes that it
+    reaches and that reach it. The next start is the last node reached, so on a
+    chain each search stops at the labelled nodes."""
+    labels = np.full(len(edges), -1)
+    starts = list(range(len(edges) - 1, -1, -1))
+    while starts:
+        start = starts.pop()
+        if labels[start] < 0:
+            ahead = _reach(edges, start, labels >= 0)
+            labels[_reach(edges.T, start, ~ahead)] = labels.max() + 1
+            starts.extend(np.flatnonzero(ahead))
+    return labels
+
+
+def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
+           rayleigh: bool) -> tuple[np.ndarray, float, float, int]:
+    """Power iteration on m + cI with the edges between the blocks of ``labels``,
+    unions of m's classes, dropped; c is a tenth of the block's largest row sum,
+    so a bipartite block's mode at -rho decays by 9/11 per step at any scale.
+    For x > 0 (floored at 2^-600) and y = m x, hi = max y/x raised by (n + 2)
+    eps, and lo = max over blocks of min y_K/x_K; with ``rayleigh`` and m
+    symmetric, also of the blocks' Rayleigh quotients. Also returns a node of
+    the block whose bound is lo."""
     n = m.shape[0]
-    shift = 0.1 * float((m @ np.ones(n)).max())
+    count = int(labels.max()) + 1
+    if count > 1:
+        m = np.where(labels[:, None] == labels, m, 0.0)
+    shift = np.zeros(count)
+    np.maximum.at(shift, labels, m @ np.ones(n))
+    shift = 0.1 * shift[labels]
     x = np.full(n, 1.0 / math.sqrt(n))
     symmetric = False
     for step in range(max_iter):
         y = m @ x
         ratios = y / x
         hi = float(ratios.max()) * (1.0 + (n + 2) * 2.0**-52)
-        lo = float(ratios.min())
-        if hi - lo > tol * hi:
-            live = x >= 2.0**-300  # near the floor a ratio reflects the floor, not m
-            top = ratios >= (1.0 - tol / 2) * ratios.max(where=live, initial=0.0)
-            for kept in (live & top, live & (top | (ratios > 0))):
-                inner = y[kept] - m[np.ix_(kept, ~kept)] @ x[~kept]  # m_KK x_K
-                lo = max(lo, float((inner / x[kept]).min()))
+        low = np.full(count, np.inf)
+        np.minimum.at(low, labels, ratios)
         if step == 32:  # a bracket still open repays one transposed pass over m
-            symmetric = bool(np.array_equal(m, m.T))
-        if symmetric:
-            lo = max(lo, float(x @ y) / float(x @ x))
+            symmetric = rayleigh and bool(np.array_equal(m, m.T))
+        if symmetric:  # a zero class's floored x squares to 0: divide by the floor
+            squares = np.maximum(np.bincount(labels, x * x, count), 2.0**-600)
+            np.maximum(low, np.bincount(labels, x * y, count) / squares, out=low)
+        lo = float(low.max())
         if hi - lo <= tol * hi:
-            return x, lo, hi
+            return x, lo, hi, int(np.argmax(labels == low.argmax()))
         x = shift * x + y
-        x = np.maximum(x / np.linalg.norm(x), 2.0**-600)
+        if count == 1:
+            x /= np.linalg.norm(x)
+        else:  # each class by its largest entry: a norm would square floored entries into 0
+            peak = np.full(count, 2.0**-600)
+            np.maximum.at(peak, labels, x)
+            x /= peak[labels]
+        x = np.maximum(x, 2.0**-600)
     raise NonConvergence(f"power iteration did not converge within {max_iter} iterations: "
                          f"rho in [{lo!r}, {hi!r}]")
+
+
+def _perron(m: np.ndarray, tol: float, max_iter: int,
+            vector: bool = False) -> tuple[np.ndarray, float, float]:
+    """x and a certified bracket lo <= rho(m) <= hi, hi - lo <= tol * hi.
+
+    rho(m) is the largest rho(m_KK) over the strongly connected classes K of
+    m's pattern (Perron-Frobenius), so :func:`_power` runs on the classes and
+    each converges at its own gap. With ``vector``, x is m's unit Perron vector,
+    |(m x)_i - hi x_i| <= tol * hi * x_i: on a reducible m, 0 off the classes
+    that reach the top class, where the loop runs once more as one class.
+    """
+    if np.any(m < 0):
+        raise NegativeEntries("power iteration requires nonnegative entries")
+    if not (tol > 0 and max_iter >= 1):
+        raise ValueError("tol must be positive and max_iter at least 1")
+    edges = m > 0
+    labels = _classes(edges)
+    x, lo, hi, top = _power(m, labels, tol, max_iter, not vector)
+    if vector and labels.max() > 0 and hi > 0:
+        keep = _reach(edges.T, top, np.zeros(len(m), dtype=bool))
+        x = np.zeros(len(m))
+        x[keep], lo, hi, _ = _power(m[np.ix_(keep, keep)], np.zeros(keep.sum(), dtype=int),
+                                    tol, max_iter, False)
+    return x, lo, hi
 
 
 def spectral_radius(A: AffinityMatrix, tol: float = 1e-10, max_iter: int = 1000) -> float:
     """Certified upper bound on rho(A), at most ``tol`` relative above it.
 
-    The ``hi`` of :func:`_perron`; a nonzero nilpotent A raises with lo = 0.
+    The ``hi`` of :func:`_perron`, 0 on a nilpotent A.
     """
     return _perron(A.matrix, tol, max_iter)[2]
 
@@ -177,8 +228,8 @@ def choose_alpha(
     """Pick alpha = fraction / hi, with hi = :func:`spectral_radius`'s bound.
 
     Since hi >= rho(A), alpha * rho(A) <= fraction is certified, and
-    short of it by at most ``tol`` relative. The zero matrix makes every
-    alpha convergent, so the fraction itself is returned.
+    short of it by at most ``tol`` relative. rho = 0, as on a nilpotent A,
+    makes every alpha convergent, so the fraction itself is returned.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")

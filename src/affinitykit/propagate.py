@@ -170,12 +170,12 @@ def eigenvector_centrality(
 ) -> CentralityVector:
     """Principal eigenpair of a nonnegative matrix, from the loop behind :func:`spectral_radius`.
 
-    The unit iterate and ``hi``, equal to ``spectral_radius(A)``. Where the bracket
-    closes on min (A v)_i / v_i, as on dense A, |(A v)_i - hi v_i| <= tol * hi * v_i.
+    ``hi`` and the unit Perron vector v, with |(A v)_i - hi v_i| <= tol * hi * v_i; on a
+    reducible A, v is 0 off the classes that reach the top class.
     """
-    values, _, hi = _perron(A.matrix, tol, max_iter)
-    if hi == 0:  # A x = 0 for the positive iterate x: A is zero
-        raise ZeroMatrix("the zero matrix has no principal eigenvector")
+    values, _, hi = _perron(A.matrix, tol, max_iter, vector=True)
+    if hi == 0:
+        raise ZeroMatrix("rho(A) = 0, so A has no principal eigenvector")
     return CentralityVector(values, eigenvalue=hi)
 
 

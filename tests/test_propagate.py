@@ -250,6 +250,10 @@ class TestEigenvectorCentrality:
         with pytest.raises(ak.ZeroMatrix):
             ak.eigenvector_centrality(ak.AffinityMatrix(np.zeros((3, 3))))
 
+    def test_nilpotent_matrix_rejected_for_its_zero_radius(self):
+        with pytest.raises(ak.ZeroMatrix, match=r"^rho\(A\) = 0, so A has no principal eigenvector$"):
+            ak.eigenvector_centrality(ak.AffinityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
     def test_star_graph(self):
         # characteristic polynomial of the star: lambda^3 = 2 lambda
         cv = ak.eigenvector_centrality(ak.AffinityMatrix(STAR))
