@@ -62,8 +62,8 @@ class FeatureDataset:
 class AffinityMatrix:
     """Square pairwise affinity matrix with optional validated guarantees.
 
-    Flags left as ``None`` are inferred from the entries; flags passed as
-    ``True`` are checked and raise when the data violates them.
+    ``None`` flags are inferred from the entries; ``True`` flags are checked
+    and raise when the data violates them; ``False`` is stored unchecked.
     """
 
     matrix: np.ndarray
@@ -119,22 +119,24 @@ def _column_std(data: np.ndarray) -> np.ndarray:
     return np.ldexp(np.ldexp(data, -exponent).std(axis=0), exponent)
 
 
-def _spearman_matrix(data: np.ndarray) -> np.ndarray:
-    """Pairwise Spearman correlations with average ranks for ties.
+def _abs_spearman(data: np.ndarray) -> np.ndarray:
+    """|Spearman rho| of every column pair, ties average-ranked, in the Gram buffer.
 
-    A zero-variance column correlates 0 with everything by convention.
-    Centered average ranks are exact quarter-integers for modest sample
-    counts, so perfectly monotone pairs hit the Cauchy-Schwarz bound
-    exactly and are snapped to +-1 rather than left one ulp short of it.
+    Centered average ranks are multiples of 1/2, so below about 3e5 samples each
+    Gram entry is an exact sum, symmetric bit for bit in any BLAS order (above
+    that, numpy's syrk copies one triangle onto the other). Later steps are
+    elementwise, so no mirror is needed. A pair at the Cauchy-Schwarz bound reads 1.
     """
-    n = data.shape[0]
-    ranks = _average_ranks(data)
-    centered = ranks - (n + 1) / 2.0
-    gram = centered.T @ centered
-    diag = np.diagonal(gram)
-    den2 = np.outer(diag, diag)
-    rho = np.divide(gram, np.sqrt(den2), out=np.zeros_like(gram), where=den2 > 0)
-    return np.where((den2 > 0) & (gram * gram >= den2), np.sign(gram), rho)
+    centered = _average_ranks(data) - (data.shape[0] + 1) / 2.0
+    rho = centered.T @ centered
+    den = np.outer(np.diagonal(rho), np.diagonal(rho))
+    snap = rho * rho >= den
+    snap &= den > 0
+    np.abs(rho, out=rho)  # a constant column's entries are already 0, its rho by convention
+    np.sqrt(den, out=den)
+    np.divide(rho, den, out=rho, where=den > 0)
+    rho[snap] = 1.0  # exactly 1, not one ulp short
+    return rho
 
 
 def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix:
@@ -156,12 +158,12 @@ def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix
     sigma = _column_std(ds.data)
     sigma_max = sigma.max()
     sigma_hat = sigma / sigma_max if sigma_max > 0 else np.zeros_like(sigma)
-    var_term = np.maximum.outer(sigma_hat, sigma_hat)
-    rho = _spearman_matrix(ds.data)
-    off = beta * var_term + (1.0 - beta) * (1.0 - np.abs(rho))
-    # Mirror the strict upper triangle so symmetry is bitwise, not approximate.
-    upper = np.triu(off, k=1)
-    return AffinityMatrix(upper + upper.T, nonnegative=True, zero_diagonal=True)
+    a = _abs_spearman(ds.data)
+    np.subtract(1.0, a, out=a)
+    a *= 1.0 - beta
+    a += beta * np.maximum.outer(sigma_hat, sigma_hat)
+    np.fill_diagonal(a, 0.0)
+    return AffinityMatrix(a, nonnegative=True, zero_diagonal=True)
 
 
 def build_dot_product_affinity(Q, K, *, _checked: bool = False) -> AffinityMatrix | np.ndarray:
@@ -220,7 +222,5 @@ def build_gat_scores(H, W, a, slope: float = 0.2, *, _checked: bool = False) -> 
     if not 0.0 < slope < 1.0:
         raise ValueError(f"LeakyReLU slope must lie in (0, 1), got {slope}")
     projected = H @ W
-    src = projected @ a[:f_out]
-    dst = projected @ a[f_out:]
-    scores = src[:, None] + dst[None, :]
-    return np.where(scores >= 0, scores, slope * scores)
+    scores = np.add.outer(projected @ a[:f_out], projected @ a[f_out:])
+    return np.maximum(scores, slope * scores, out=scores)

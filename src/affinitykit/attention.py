@@ -11,17 +11,14 @@ scanned again. A score product that overflows shows in the N x d
 output, which is scanned instead.
 
 Softmax attention (``attention``, ``multi_head_attention`` and the
-embedded-Gaussian ``non_local_block``) runs one block of query rows at
-a time: each block is scored against every key, normalized and
-aggregated into its rows of the output. Each row of the softmax is
-normalized on its own, so every output row goes through the same
-operations as in the dense formula, while the scratch is one block of
-``_BLOCK_BYTES`` beside the N x d output instead of several N x N
-temporaries. Only the BLAS may round a block's scores differently from
-the full product's: with OpenBLAS the output has the dense bits at the
-benchmark's shapes and in the ``attend`` golden file, and elsewhere can
-differ by a few ulps. The dot-product non-local variant and the GAT
-layer stay dense.
+embedded-Gaussian ``non_local_block``) scores, normalizes and aggregates
+one block of query rows at a time. Softmax rows are independent, so each
+output row goes through the dense formula's operations, with one block
+of ``_BLOCK_BYTES`` beside the N x d output instead of several N x N
+temporaries. Only the BLAS may round a block's scores a few ulps apart
+from the full product's; with OpenBLAS they agree at the benchmark's
+shapes and in the ``attend`` golden file. The dot-product non-local
+variant and the GAT layer stay dense.
 """
 
 from __future__ import annotations
@@ -91,9 +88,8 @@ class NonLocalProjections:
     wz: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "wtheta", as_matrix(self.wtheta, "wtheta"))
-        object.__setattr__(self, "wphi", as_matrix(self.wphi, "wphi"))
-        object.__setattr__(self, "wg", as_matrix(self.wg, "wg"))
+        for field in ("wtheta", "wphi", "wg"):
+            object.__setattr__(self, field, as_matrix(getattr(self, field), field))
         if self.wz is not None:
             object.__setattr__(self, "wz", as_matrix(self.wz, "wz"))
 
@@ -209,6 +205,10 @@ def non_local_block(
     attention on the projected inputs.
     """
     x = as_matrix(X, "X")
+    for name, mat, rows in (("wtheta", proj.wtheta, x.shape[1]), ("wphi", proj.wphi, x.shape[1]),
+                            ("wg", proj.wg, x.shape[1]), ("wz", proj.wz, proj.wg.shape[1])):
+        if mat is not None and mat.shape[0] != rows:
+            raise DimensionMismatch(f"{name} must have {rows} rows, got {mat.shape[0]}")
     theta, phi, g = x @ proj.wtheta, x @ proj.wphi, x @ proj.wg
     if variant == "embedded_gaussian":
         y = _attention(theta, phi, g, scale=False)

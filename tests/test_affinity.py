@@ -89,6 +89,33 @@ class TestAffinityMatrixType:
         assert_array_equal(ak.single_hop_aggregate(aff, v), ak.single_hop_aggregate(m, v))
 
 
+def _rank_columns(n):
+    """One column of n entries: tied small integers, floats, or a constant."""
+    small_ints = st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)
+    floats = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+    constants = st.floats(-1e6, 1e6).map(lambda value: [value] * n)
+    return st.one_of(small_ints, floats, constants)
+
+
+def reference_corr_affinity(data, beta):
+    """The correlation affinity as first written: signed rho, the mix, a triangle mirror."""
+    centered = _average_ranks(data) - (data.shape[0] + 1) / 2.0
+    gram = centered.T @ centered
+    diag = np.diagonal(gram)
+    den2 = np.outer(diag, diag)
+    rho = np.divide(gram, np.sqrt(den2), out=np.zeros_like(gram), where=den2 > 0)
+    rho = np.where((den2 > 0) & (gram * gram >= den2), np.sign(gram), rho)
+    sigma = _column_std(data)
+    sigma_hat = sigma / sigma.max() if sigma.max() > 0 else np.zeros_like(sigma)
+    off = beta * np.maximum.outer(sigma_hat, sigma_hat) + (1.0 - beta) * (1.0 - np.abs(rho))
+    upper = np.triu(off, k=1)
+    return upper + upper.T
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestCorrAffinity:
     def test_identical_columns_give_exact_zero(self):
         a = ak.build_corr_affinity(make_ds([1, 2, 3, 4], [1, 2, 3, 4]), beta=0.0)
@@ -142,6 +169,33 @@ class TestCorrAffinity:
         a_t = ak.build_corr_affinity(ds_t, beta=0.0)
         assert_allclose(a_t.matrix, a.matrix, atol=1e-12)
 
+    # Besides the drawn columns: an exact copy, a negated copy and a monotone
+    # transform of the first, so |rho| = 1 is reached in both signs.
+    @given(
+        st.integers(2, 25).flatmap(lambda n: st.lists(_rank_columns(n), min_size=1, max_size=6)),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    @example([[1.0, 2.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0]], 0.3)
+    @settings(max_examples=200)
+    def test_same_bits_as_parent_formula(self, columns, beta):
+        first = np.array(columns[0])
+        data = np.column_stack([*columns, first, -first, np.cbrt(first) + 7.0])
+        a = ak.build_corr_affinity(ak.FeatureDataset(data, tuple(map(str, range(data.shape[1])))), beta)
+        assert_array_equal(bits(a.matrix), bits(reference_corr_affinity(data, beta)))
+        assert_array_equal(bits(a.matrix), bits(a.matrix.T))
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self):
+        # About 3.3 times: the Gram buffer, its denominators and one product temporary.
+        ds = ak.FeatureDataset(np.random.default_rng(17).normal(size=(60, 300)),
+                               tuple(f"f{i}" for i in range(300)))
+        tracemalloc.start()
+        try:
+            ak.build_corr_affinity(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 300 * 300 * 8
+
     def test_beta_domain(self):
         with pytest.raises(ValueError):
             ak.build_corr_affinity(CORR_FIXTURE, beta=1.5)
@@ -149,14 +203,6 @@ class TestCorrAffinity:
     def test_single_feature_rejected(self):
         with pytest.raises(ak.EmptyDataset):
             ak.build_corr_affinity(make_ds([1, 2, 3]))
-
-
-def _rank_columns(n):
-    """One column of n entries: tied small integers, floats, or a constant."""
-    small_ints = st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)
-    floats = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
-    constants = st.floats(-1e6, 1e6).map(lambda value: [value] * n)
-    return st.one_of(small_ints, floats, constants)
 
 
 class TestAverageRanks:
@@ -299,3 +345,30 @@ class TestGatScores:
     def test_slope_domain(self):
         with pytest.raises(ValueError):
             ak.build_gat_scores(np.ones((2, 1)), np.ones((1, 1)), np.ones(2), slope=1.5)
+
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.integers(-150, 150), st.sampled_from([None, 0.0, -0.0]),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200)
+    def test_same_bits_as_where_formula(self, n, f_in, f_out, seed, exponent, zero, slope):
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(n, f_in)) * 10.0 ** exponent
+        w, a = rng.normal(size=(f_in, f_out)), rng.normal(size=2 * f_out)
+        if zero is not None:
+            a[:] = zero
+        projected = h @ w
+        s = (projected @ a[:f_out])[:, None] + (projected @ a[f_out:])[None, :]
+        reference = np.where(s >= 0, s, slope * s)
+        assert_array_equal(bits(ak.build_gat_scores(h, w, a, slope)), bits(reference))
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self):
+        # About 2 times: the outer sum and its slope multiple.
+        rng = np.random.default_rng(19)
+        h, w, a = rng.normal(size=(512, 16)), rng.normal(size=(16, 8)), rng.normal(size=16)
+        tracemalloc.start()
+        try:
+            ak.build_gat_scores(h, w, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 512 * 512 * 8

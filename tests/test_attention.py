@@ -340,6 +340,13 @@ MHA_PROJ = ak.ProjectionSet(
 )
 NL_PROJ = ak.NonLocalProjections(np.eye(4), np.eye(4), np.eye(4))
 NL_PROJ_MISMATCHED = ak.NonLocalProjections(np.ones((4, 2)), np.ones((4, 3)), np.eye(4))
+# One projection each whose row count does not fit what it multiplies.
+NL_PROJ_BAD_ROWS = {
+    "wtheta": ak.NonLocalProjections(np.ones((3, 4)), np.eye(4), np.eye(4)),
+    "wphi": ak.NonLocalProjections(np.eye(4), np.ones((3, 4)), np.eye(4)),
+    "wg": ak.NonLocalProjections(np.eye(4), np.eye(4), np.ones((3, 4))),
+    "wz": ak.NonLocalProjections(np.eye(4), np.eye(4), np.ones((4, 3)), np.eye(4)),
+}
 
 
 def gat_params(f_in=4):
@@ -360,6 +367,10 @@ BOUNDARY_CASES = [
     ("attention-qk-width", lambda x: ak.attention(x, x[:, :3], x), BOUNDARY_X, ak.DimensionMismatch),
     ("non_local_block-theta-phi-width", lambda x: ak.non_local_block(x, NL_PROJ_MISMATCHED),
      BOUNDARY_X, ak.DimensionMismatch),
+    *((f"non_local_block-{variant}-{name}-rows",
+       lambda x, proj=proj, variant=variant: ak.non_local_block(x, proj, variant),
+       BOUNDARY_X, ak.DimensionMismatch)
+      for name, proj in NL_PROJ_BAD_ROWS.items() for variant in ("embedded_gaussian", "dot_product")),
     ("gat_layer-mask-shape", lambda x: ak.gat_layer(x, gat_params(), ak.NeighborhoodMask.full(4)),
      BOUNDARY_X, ak.DimensionMismatch),
     ("multi_head_gat-mask-shape",
