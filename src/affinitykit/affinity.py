@@ -189,16 +189,37 @@ def build_dot_product_affinity(Q, K, *, _checked: bool = False) -> AffinityMatri
 def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
     """Gaussian kernel A_ij = exp(-||x_i - x_j||^2 / h^2).
 
-    The diagonal is exactly 1 (self-similarity); entries lie in (0, 1].
-    Each pair's distance is computed independently, so permuting the rows
-    of X permutes the output exactly. Distances are reduced one row of the
-    output at a time, so the scratch beside the N x N result is O(N*d).
+    The diagonal is exactly 1 (self-similarity); entries lie in [0, 1],
+    since far pairs underflow to 0 and a distance that overflows gets its
+    limit 0. Each unordered pair is computed once, in a C-ordered N x d
+    row buffer that is the only scratch beside the N x N result, and
+    summed over d in numpy's pairwise order whatever the layout of X:
+    the result is exactly symmetric, and permuting the rows of X
+    permutes it exactly.
     """
     x = as_matrix(X, "X")
     if not h > 0:
         raise NonPositiveBandwidth(f"bandwidth must be positive, got {h}")
-    sq_dist = np.array([((x - row) ** 2).sum(axis=1) for row in x])
-    return AffinityMatrix(np.exp(-sq_dist / (h * h)), nonnegative=True, zero_diagonal=False)
+    hh = h * h
+    if hh == 0:
+        raise NonPositiveBandwidth(f"bandwidth {h} is too small: h*h underflows to 0")
+    n = x.shape[0]
+    sq = np.empty((n, n))
+    diff = np.empty(x.shape)
+    with np.errstate(over="ignore", under="ignore"):
+        for i in range(n):
+            rows = diff[: n - i]
+            np.subtract(x[i:], x[i], out=rows)
+            np.square(rows, out=rows)
+            np.add.reduce(rows, axis=1, out=sq[i, i:])
+            sq[i + 1:, i] = sq[i, i + 1:]
+        if hh == np.inf and sq.max() == np.inf:
+            raise NonFiniteInput(
+                f"squared distances and h*h (h = {h}) both overflow to inf; their ratio is undefined"
+            )
+        np.divide(sq, -hh, out=sq)
+        np.exp(sq, out=sq)
+    return AffinityMatrix(sq, nonnegative=True, zero_diagonal=False)
 
 
 def build_gat_scores(H, W, a, slope: float = 0.2, *, _checked: bool = False) -> np.ndarray:

@@ -7,8 +7,9 @@ attention, the GAT layer's reduction to dense concat-scored attention,
 the stacking-equals-multi-hop composition law, permutation
 equivariance of the ranking scores, the score-only path series
 against the row sums of the path matrix, the generator's
-closed-form draws against its one-step recurrence, and attention in
-query-row blocks against the dense formula.
+closed-form draws against its one-step recurrence, attention in
+query-row blocks against the dense formula, and the Gaussian affinity's
+once-per-pair distances against the broadcast formula.
 
 A property is a function ``(gen, fraction) -> error`` that draws one
 instance from ``gen`` and returns its largest absolute error, plus a row
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AffinityMatrix, build_gat_scores
+from .affinity import AffinityMatrix, build_gat_scores, build_gaussian_affinity
 from .attention import (
     _BLOCK_BYTES,
     GatParams,
@@ -188,6 +189,18 @@ def _blocked_attention_equals_dense(gen: Lcg, fraction: float) -> float:
     return _max_abs(attention(q, k, v) - dense)
 
 
+def _gaussian_pairs_equal_broadcast(gen: Lcg, fraction: float) -> float:
+    """build_gaussian_affinity, one unordered pair at a time, equals the
+    broadcast formula exactly; about half the instances pass X in Fortran order.
+    """
+    n, d = gen.randint(1, 16), gen.randint(1, 40)
+    x = gen.matrix(n, d, -1.0, 1.0)
+    h = gen.vector(1, 0.5, 4.0)[0]
+    layout = np.asfortranarray(x) if gen.randint(0, 1) else x
+    dense = np.exp(-((x[:, None] - x[None]) ** 2).sum(-1) / (h * h))
+    return _max_abs(build_gaussian_affinity(layout, h).matrix - dense)
+
+
 # (name, one instance's error, default tolerance), in report order.
 _PROPERTIES = (
     ("closed_form_vs_truncated", _closed_form_vs_truncated, 1e-8),
@@ -199,6 +212,7 @@ _PROPERTIES = (
     ("score_path_equals_matrix_path", _score_path_equals_matrix_path, 1e-12),
     ("block_draws_equal_scalar_draws", _block_draws_equal_scalar_draws, 0.0),
     ("blocked_attention_equals_dense", _blocked_attention_equals_dense, 1e-12),
+    ("gaussian_pairs_equal_broadcast", _gaussian_pairs_equal_broadcast, 0.0),
 )
 
 

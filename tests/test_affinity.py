@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -301,8 +302,25 @@ class TestGaussianAffinity:
         with pytest.raises(ak.NonPositiveBandwidth):
             ak.build_gaussian_affinity([[0.0], [1.0]], h)
 
+    @pytest.mark.parametrize("h", [1.4e-162, 1e-170, 5e-324])
+    def test_bandwidth_whose_square_underflows_is_rejected(self, h):
+        with pytest.raises(ak.NonPositiveBandwidth, match=re.escape(f"bandwidth {h} ")):
+            ak.build_gaussian_affinity([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], h)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [[[0.0], [1e200]], [[-1e308], [1e308]]],
+                             ids=["square", "difference"])
+    def test_overflowing_distance_gets_weight_zero(self, x):
+        assert_array_equal(ak.build_gaussian_affinity(x, 1.0).matrix, np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_distance_and_bandwidth_both_overflowing_is_a_clean_error(self):
+        with pytest.raises(ak.NonFiniteInput, match="both overflow"):
+            ak.build_gaussian_affinity([[0.0], [1e200]], 1e200)
+
     def test_scratch_is_not_n_squared_times_d(self):
-        # The N x N x d difference tensor alone would be 128 times the result.
+        # The N x N x d difference tensor alone would be 128 times the result;
+        # one N x d row buffer is half of it.
         x = np.random.default_rng(3).normal(size=(256, 128))
         tracemalloc.start()
         try:
@@ -310,7 +328,26 @@ class TestGaussianAffinity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 256 * 256 * 8
+        assert peak <= 2 * 256 * 256 * 8
+
+    # Fortran order and a transposed view put d on the outer axis, where a
+    # reduction over it sums sequentially rather than pairwise.
+    @given(st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3))
+    @example(40, 200, 0, 3.0)
+    @settings(max_examples=60)
+    def test_layout_changes_no_bit_and_permutations_stay_exact(self, n, d, seed, h):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** (seed % 7 - 3)
+        p = rng.permutation(n)
+        strided = np.zeros((2 * n, 3 * d))[::2, ::3]
+        strided[...] = x
+        expected = ak.build_gaussian_affinity(x, h).matrix
+        for layout in (np.asfortranarray(x), np.ascontiguousarray(x.T).T, strided):
+            assert_array_equal(ak.build_gaussian_affinity(layout, h).matrix.view(np.int64),
+                               expected.view(np.int64))
+            assert_array_equal(ak.build_gaussian_affinity(layout[p], h).matrix,
+                               expected[np.ix_(p, p)])
 
     # d up to 300 crosses numpy's 8- and 128-element pairwise-summation blocks.
     @given(st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**32 - 1),
