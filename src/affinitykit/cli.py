@@ -20,6 +20,7 @@ import argparse
 import array
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -62,42 +63,112 @@ def _parse_cell(token: str, line: int, column: int) -> float:
     return value
 
 
+# Lines per chunk of the body that numpy's reader parses in one call.
+_CHUNK_ROWS = 64
+# ASCII separators that str.isspace() accepts and numpy's reader strips around a
+# number, but float() does not.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_row(row: list[str], line: int, width: int) -> list[float]:
+    if len(row) != width:
+        raise RaggedRows(f"line {line} has {len(row)} cells, expected {width}")
+    try:
+        values = list(map(float, row))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    # Only a failing row is parsed cell by cell, to name its first bad cell.
+    return [_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)]
+
+
+def _append_rows(lines, first_line: int, width: int, data: array.array, path: str) -> None:
+    """The row loop: parse ``lines``, the first of them file line ``first_line``, into ``data``.
+
+    It names the first fault in file order, with its file line: a row of the
+    wrong width, a cell ``float()`` rejects or a non-finite cell.
+    """
+    reader = csv.reader(lines)
+    try:
+        # Blank lines are skipped; line_num still counts them, so a row keeps its file line.
+        for row in filter(None, reader):
+            data.fromlist(_parse_row(row, first_line - 1 + reader.line_num, width))
+    except csv.Error as exc:
+        raise InputError(f"{path}, line {first_line - 1 + reader.line_num}: {exc}") from None
+
+
+def _raising(exc: Exception):
+    """A line source that raises ``exc`` when it is read."""
+    raise exc
+    yield
+
+
+def _parse_chunk(lines: list[str], width: int) -> np.ndarray | None:
+    """The chunk's rows by numpy's C reader, or None where only the row loop can decide.
+
+    numpy accepts a subset of what ``float()`` accepts, with the same values, so
+    None covers every fault and every cell in the rest of ``float()``'s grammar
+    (``1_0``, Unicode digits). It also covers what the ``csv`` module reads
+    differently or refuses: a quote left open at the chunk's end (numpy closes
+    it, csv reads on into the next chunk), a field over csv's size limit and the
+    separators above. A block must hold one row per non-blank line.
+    """
+    rows = len(lines) - lines.count("\n") - lines.count("\r\n") - lines.count("\r")
+    if not rows:
+        return np.empty((0, width))  # numpy warns on a chunk of blank lines
+    text = "".join(lines)
+    if (text.count('"') % 2 or max(map(len, lines)) > csv.field_size_limit()
+            or any(ch in text for ch in _NOT_FLOAT_SPACE)):
+        return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return block if block.shape == (rows, width) and np.isfinite(block).all() else None
+
+
 def _read_table(path: str, header: bool) -> tuple[list[str], np.ndarray]:
     """The first row's cells and the numeric body (every row when ``header`` is false).
 
-    Rows are parsed as they are read into one float64 buffer, so the first fault in file
-    order is the one reported, and a cell takes 8 bytes where a list of floats takes 32.
+    The first row is read by ``csv.reader``. The body is parsed in chunks of
+    ``_CHUNK_ROWS`` lines by numpy's C reader into one float64 buffer. The row
+    loop stays for two things numpy cannot do: ``float()``'s full grammar and
+    the error messages, which name the first fault in file order with its file
+    line. A chunk numpy rejects is parsed by the row loop from its first line
+    to the end of the file, so a bad cell costs one chunk twice.
     """
-    first, data = None, array.array("d")
+    data = array.array("d")
     # utf-8-sig drops a byte-order mark, which would otherwise prefix the first name.
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            # Blank lines are skipped; line_num still counts them, so a row keeps its file line.
-            for row in filter(None, reader):
-                if first is None:
-                    first = row
-                    if header:
-                        continue
-                line = reader.line_num
-                if len(row) != len(first):
-                    raise RaggedRows(f"line {line} has {len(row)} cells, expected {len(first)}")
-                try:
-                    values = list(map(float, row))
-                    parsed = all(map(math.isfinite, values))
-                except ValueError:
-                    parsed = False
-                if not parsed:
-                    # Only a failing row is parsed cell by cell, to name its first bad cell.
-                    values = [_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)]
-                data.fromlist(values)
+            first = next(filter(None, reader), None)
         except csv.Error as exc:
             raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
-    if first is None:
-        raise EmptyFile(f"{path} contains no rows")
+        if first is None:
+            raise EmptyFile(f"{path} contains no rows")
+        width, line = len(first), reader.line_num + 1
+        if not header:
+            data.fromlist(_parse_row(first, reader.line_num, width))
+        while True:
+            lines = []
+            try:
+                lines.extend(itertools.islice(handle, _CHUNK_ROWS))
+            except UnicodeDecodeError as exc:
+                # The row loop meets the undecodable bytes where it would have: after these lines.
+                _append_rows(itertools.chain(lines, _raising(exc)), line, width, data, path)
+            if not lines:
+                break
+            block = _parse_chunk(lines, width)
+            if block is None:
+                _append_rows(itertools.chain(lines, handle), line, width, data, path)
+                break
+            data.frombytes(block.tobytes())
+            line += len(lines)
     if not data:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return first, np.frombuffer(data).reshape(-1, len(first))
+    return first, np.frombuffer(data).reshape(-1, width)
 
 
 def load_csv(path: str, header: bool = True) -> FeatureDataset:
@@ -172,22 +243,17 @@ def _dumps_indented(payload: dict) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` for a flat object whose values
     are scalars or matrices with at least one row and one column.
 
-    ``json.dumps`` takes its C encoder only without ``indent``, so each
-    matrix row is encoded flat and then broken into indented lines; float
-    ``repr`` never contains ``", "``. NaN and infinities are spelled as the
-    indenting encoder spells them.
+    Matrices are rendered by ``_floattext.matrix_text``, whole arrays at a
+    time, to the same bytes; scalars and keys go through ``json.dumps``.
     """
-    items = []
+    # Imported here: only attend loads the formatter.
+    from ._floattext import matrix_text
+
+    parts = []
     for key, value in payload.items():
-        if isinstance(value, np.ndarray):
-            rows = "\n    ],\n    [\n      ".join(
-                json.dumps(row)[1:-1].replace(", ", ",\n      ") for row in value.tolist()
-            )
-            text = f"[\n    [\n      {rows}\n    ]\n  ]"
-        else:
-            text = json.dumps(value)
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+        text = matrix_text(value) if isinstance(value, np.ndarray) else json.dumps(value)
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", text]
+    return "".join(parts + ["\n}\n"])
 
 
 def run_attend(args: argparse.Namespace) -> str:
@@ -319,7 +385,9 @@ def main(argv=None) -> int:
             return EXIT_OK
         # A table too large for the N x N affinity is an input error, not a crash.
         except (NumericError, InputError, ValueError, OSError, MemoryError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            # numpy.linalg raises a bare MemoryError(); the line still names the failure.
+            detail = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
+            print(f"error: {detail}", file=sys.stderr)
             return EXIT_NUMERIC_ERROR if isinstance(exc, NumericError) else EXIT_INPUT_ERROR
 
 

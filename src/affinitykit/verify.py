@@ -8,8 +8,9 @@ the stacking-equals-multi-hop composition law, permutation
 equivariance of the ranking scores, the score-only path series
 against the row sums of the path matrix, the generator's
 closed-form draws against its one-step recurrence, attention in
-query-row blocks against the dense formula, and the Gaussian affinity's
-once-per-pair distances against the broadcast formula.
+query-row blocks against the dense formula, the Gaussian affinity's
+once-per-pair distances against the broadcast formula, and the CLI's
+whole-array float text against ``repr``.
 
 A property is a function ``(gen, fraction) -> error`` that draws one
 instance from ``gen`` and returns its largest absolute error, plus a row
@@ -201,6 +202,25 @@ def _gaussian_pairs_equal_broadcast(gen: Lcg, fraction: float) -> float:
     return _max_abs(build_gaussian_affinity(layout, h).matrix - dense)
 
 
+def _matrix_text_equals_repr(gen: Lcg, fraction: float) -> float:
+    """The CLI's matrix text spells every value as ``repr`` does.
+
+    The values are random 64-bit patterns, with the non-finite ones (all
+    exponent bits set) moved into the finite range, in a matrix of up to
+    3 x 8. The error is the count of values whose text differs.
+    """
+    # Imported here: `import affinitykit` loads no formatter it does not use.
+    from ._floattext import matrix_text
+
+    rows, cols = gen.randint(1, 3), gen.randint(1, 8)
+    bits = [gen.next_u64() for _ in range(rows * cols)]
+    bits = [b ^ 1 << 62 if (b >> 52 & 0x7FF) == 0x7FF else b for b in bits]
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+    lines = matrix_text(values).splitlines()
+    texts = [line.strip().rstrip(",") for line in lines if line.startswith(" " * 6)]  # one value a line
+    return float(sum(map(str.__ne__, texts, map(repr, values.ravel().tolist()))))
+
+
 # (name, one instance's error, default tolerance), in report order.
 _PROPERTIES = (
     ("closed_form_vs_truncated", _closed_form_vs_truncated, 1e-8),
@@ -213,6 +233,7 @@ _PROPERTIES = (
     ("block_draws_equal_scalar_draws", _block_draws_equal_scalar_draws, 0.0),
     ("blocked_attention_equals_dense", _blocked_attention_equals_dense, 1e-12),
     ("gaussian_pairs_equal_broadcast", _gaussian_pairs_equal_broadcast, 0.0),
+    ("matrix_text_equals_repr", _matrix_text_equals_repr, 0.0),
 )
 
 

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import affinitykit as ak
+from affinitykit._floattext import matrix_text
 from affinitykit.cli import (
     _parse_cell,
     _read_table,
@@ -132,6 +134,15 @@ class TestLoadCsv:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "long.csv, line 3" in captured.err
+
+    def test_oversized_finite_field_is_one_line_input_error(self, tmp_path, capsys):
+        # numpy's reader would read this field as 0.0; the csv module refuses it.
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1,2\n3,0." + "0" * 131073 + "1\n5,6\n")
+        assert main(["rank", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}, line 3: field larger than field limit")
 
     def test_two_faults_report_the_first_in_file_order(self, tmp_path, capsys):
         # A bad cell on line 3 and, on line 5, a field over the csv module's size limit.
@@ -383,12 +394,70 @@ class TestAttendSerializer:
         assert text == json.dumps(payload, indent=2) + "\n"
 
 
+def _json_rows(matrix: np.ndarray) -> str:
+    """A matrix as ``json.dumps(payload, indent=2)`` nests it: the C encoder per row."""
+    rows = "\n    ],\n    [\n      ".join(
+        json.dumps(row)[1:-1].replace(", ", ",\n      ") for row in matrix.tolist()
+    )
+    return f"[\n    [\n      {rows}\n    ]\n  ]"
+
+
+def _sweep_values() -> np.ndarray:
+    """Over 10^6 seeded doubles at the formatter's hard cases."""
+    rng = np.random.default_rng(20201)
+
+    def with_neighbours(v):
+        v = v[np.isfinite(v)]
+        return np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             np.array([float(f"1e{e}") for e in range(-323, 309)])])
+    boundaries = np.concatenate([np.linspace(0.9e-4, 1.1e-4, 20_000), np.linspace(0.9e-5, 1.1e-5, 20_000),
+                                 np.linspace(0.9e16, 1.1e16, 20_000)])
+    parts = [
+        rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),  # bit patterns
+        rng.integers(1, 2**52, 150_000, dtype=np.uint64).view(np.float64),  # subnormals
+        np.arange(1, 20_001, dtype=np.uint64).view(np.float64),  # the least subnormals
+        with_neighbours(powers),
+        rng.integers(0, 2**53, 150_000).astype(np.float64),  # integers up to 2^53
+        np.arange(100_000, dtype=np.float64),
+        2.0**53 - np.arange(1, 10_001),
+        with_neighbours(boundaries),
+        rng.standard_normal(100_000),
+        np.array([0.0, -0.0, np.nan, np.inf, -np.inf]),
+    ]
+    values = np.concatenate(parts)
+    return np.where(rng.random(values.size) < 0.5, -values, values)
+
+
+class TestMatrixText:
+    def test_every_value_is_spelled_as_repr(self):
+        values = _sweep_values()
+        assert values.size >= 10**6
+        width = 1000
+        matrix = np.concatenate([values, np.zeros(-values.size % width)]).reshape(-1, width)
+        text = matrix_text(matrix)
+        # json.dumps spells a float with float.__repr__, and NaN and the infinities as JSON does.
+        if text != _json_rows(matrix):
+            spelled = [line.strip().rstrip(",") for line in text.splitlines() if line.startswith(" " * 6)]
+            expected = [json.dumps(v) for v in matrix.ravel().tolist()]
+            wrong = [(e, s) for e, s in zip(expected, spelled) if e != s]
+            pytest.fail(f"{len(wrong)} of {len(expected)} values differ from repr, first {wrong[:10]}")
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "one row", "one column"])
+    def test_any_layout_gives_the_json_rows(self, layout):
+        base = np.random.default_rng(3).standard_normal((40, 60)) * 10.0 ** np.arange(-30, 30)
+        matrix = {"C": base, "F": np.asfortranarray(base), "strided": base[::3, 1::2],
+                  "one row": base[:1], "one column": base[:, 5:6]}[layout]
+        assert matrix_text(matrix) == _json_rows(np.ascontiguousarray(matrix))
+
+
 class TestVerifyCommand:
     def test_default_run_passes(self):
         result = run_cli("verify")
         assert result.returncode == 0 and result.stderr == ""
         lines = result.stdout.strip().splitlines()
-        assert len(lines) == 10 and all(line.endswith("PASS") for line in lines)
+        assert len(lines) == 11 and all(line.endswith("PASS") for line in lines)
 
     def test_corrupted_tolerance_names_first_failure(self):
         result = run_cli("verify", "--tolerance", "1e-30")
@@ -490,6 +559,17 @@ class TestErrorReporting:
         assert captured.out == ""
         assert captured.err == "error: Unable to allocate 7.45 GiB for an array with shape (31623, 31623)\n"
 
+    def test_bare_memory_error_names_the_failure(self, monkeypatch, capsys):
+        # numpy.linalg.solve raises MemoryError() with no message.
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("affinitykit.cli.path_scores", exhausted)
+        assert main(["rank", "--input", str(CORR_FIXTURE)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
     def test_unknown_flag_is_one_line(self):
         result = run_cli("rank", "--bogus")
         assert result.returncode == 2
@@ -590,21 +670,49 @@ def _outcome(read, path, header):
     return first, data.shape, data.tobytes()
 
 
+# The cell forms a CSV reader must agree on beside plain numbers: exponents,
+# surrounding whitespace, underscores, Unicode digits, quoting (also left
+# open, or around a line break) and non-finite values.
+_INGEST_CELLS = st.one_of(
+    _NUMBERS,
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6e}"),
+    _NUMBERS.map(lambda t: f" {t}\t"),
+    _NUMBERS.map(lambda t: f'"{t}"'),
+    st.sampled_from(["1_0", "1_000.5", "\uff11", "\u0661\u0662", "nan", "-inf", "1e999", "Infinity",
+                     '"1"2', '""1', '"1', '1"', '" 2\n"', "\x1c1"]),
+    _CELLS,
+)
+
+
 @st.composite
 def _tables(draw):
-    """A header, then rows that are mostly the header's width, of TestNoTraceback's cells."""
+    """A header, then rows of its width, ragged rows, blank and whitespace-only
+    lines, joined by one newline form, after an optional byte-order mark."""
     width = draw(st.integers(1, 4))
-    row = st.lists(_CELLS, min_size=width, max_size=width)
-    body = draw(st.lists(st.one_of(st.lists(_NUMBERS, min_size=width, max_size=width), row,
-                                   st.lists(_CELLS, max_size=5)), min_size=1, max_size=6))
-    return "\n".join(",".join(cells) for cells in [[f"f{j}" for j in range(width)], *body]) + "\n"
+    rows = st.one_of(
+        st.lists(_NUMBERS, min_size=width, max_size=width),
+        st.lists(_INGEST_CELLS, min_size=width, max_size=width),
+        st.lists(_INGEST_CELLS, max_size=5),
+        st.sampled_from([[], [" "], ["\t "]]),
+    )
+    lines = [[f"f{j}" for j in range(width)], *draw(st.lists(rows, min_size=1, max_size=8))]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(",".join(cells) for cells in lines) + newline
 
 
 class TestRowWiseIngest:
     @given(_tables(), st.booleans())
     @example("f0,f1\n1,2\n1e999,x\n", True)  # a non-finite cell before a non-numeric one
     @example("f0,f1\n1_0,\uff11\n 1 ,nan\n", True)
+    @example("f0\n\n", True)  # a chunk of blank lines: numpy would warn
+    @example('f0,f1\n1,2\n3," 4\n"\n', True)  # a quoted line break across a chunk boundary
+    @example("f0,f1\n1,\x1c2\n", True)  # numpy strips \x1c around a number; float() does not
     @settings(max_examples=200, deadline=None)
     def test_same_bits_or_error_as_per_cell_parse(self, fuzz_path, text, header):
-        fuzz_path.write_text(text, encoding="utf-8")
-        assert _outcome(_read_table, fuzz_path, header) == _outcome(_read_table_per_cell, fuzz_path, header)
+        fuzz_path.write_bytes(text.encode("utf-8"))
+        # Two-line chunks: every table spans several, and faults fall on both sides of a boundary.
+        with mock.patch("affinitykit.cli._CHUNK_ROWS", 2), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            outcome = _outcome(_read_table, fuzz_path, header)
+        assert outcome == _outcome(_read_table_per_cell, fuzz_path, header)

@@ -2,12 +2,14 @@ import numpy as np
 
 import affinitykit as ak
 from affinitykit import verify
+from affinitykit import _floattext
+from affinitykit._floattext import matrix_text
 from affinitykit.cli import main
 
 
 def test_all_properties_pass_at_default_tolerances():
     checks = ak.run_all(seed=0)
-    assert len(checks) == 10
+    assert len(checks) == 11
     for check in checks:
         assert check.passed, f"{check.name}: {check.max_error} > {check.tolerance}"
 
@@ -25,6 +27,7 @@ def test_property_names_are_stable():
         "block_draws_equal_scalar_draws",
         "blocked_attention_equals_dense",
         "gaussian_pairs_equal_broadcast",
+        "matrix_text_equals_repr",
     ]
 
 
@@ -43,6 +46,16 @@ def test_individual_checks_report_nonnegative_errors():
     assert check.name == "stacking_composition"
     assert check.max_error >= 0.0
     assert check.passed
+
+
+def test_a_misspelled_value_fails_matrix_text_equals_repr(monkeypatch):
+    def upper_exponent(matrix):
+        return matrix_text(matrix).replace("e", "E")
+
+    monkeypatch.setattr(_floattext, "matrix_text", upper_exponent)
+    check = ak.run_all(seed=0)[-1]
+    assert check.name == "matrix_text_equals_repr"
+    assert check.max_error >= 1.0 and not check.passed
 
 
 def test_nan_error_fails_verify(monkeypatch, capsys):
