@@ -24,3 +24,10 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
 def as_vector(value, name: str = "vector") -> np.ndarray:
     """Coerce to a non-empty finite 1-D float array."""
     return _as_array(value, name, 1)
+
+
+def positive_int(value, message: str, error: type = ValueError, high: float = np.inf) -> int:
+    """``int(value)`` for a whole number in 1..high, else ``error(message)``: NaN and inf too."""
+    if 1 <= value <= high and value < np.inf and int(value) == value:
+        return int(value)
+    raise error(message)

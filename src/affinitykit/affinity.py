@@ -125,18 +125,16 @@ def _abs_spearman(data: np.ndarray) -> np.ndarray:
     Centered average ranks are multiples of 1/2, so below about 3e5 samples each
     Gram entry is an exact sum, symmetric bit for bit in any BLAS order (above
     that, numpy's syrk copies one triangle onto the other). Later steps are
-    elementwise, so no mirror is needed. A pair at the Cauchy-Schwarz bound reads 1.
+    elementwise, so no mirror is needed. A pair at the Cauchy-Schwarz bound has
+    |g_ij| = d_i = d_j and reads exactly 1; the clamp keeps rounded sums at most 1.
     """
     centered = _average_ranks(data) - (data.shape[0] + 1) / 2.0
     rho = centered.T @ centered
     den = np.outer(np.diagonal(rho), np.diagonal(rho))
-    snap = rho * rho >= den
-    snap &= den > 0
     np.abs(rho, out=rho)  # a constant column's entries are already 0, its rho by convention
     np.sqrt(den, out=den)
     np.divide(rho, den, out=rho, where=den > 0)
-    rho[snap] = 1.0  # exactly 1, not one ulp short
-    return rho
+    return np.minimum(rho, 1.0, out=rho)
 
 
 def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix:
@@ -157,11 +155,11 @@ def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix
         raise EmptyDataset("affinity needs at least 2 features")
     sigma = _column_std(ds.data)
     sigma_max = sigma.max()
-    sigma_hat = sigma / sigma_max if sigma_max > 0 else np.zeros_like(sigma)
+    spread = beta * (sigma / sigma_max if sigma_max > 0 else np.zeros_like(sigma))
     a = _abs_spearman(ds.data)
     np.subtract(1.0, a, out=a)
     a *= 1.0 - beta
-    a += beta * np.maximum.outer(sigma_hat, sigma_hat)
+    a += np.maximum.outer(spread, spread)  # beta * max(s_i, s_j): beta >= 0, rounding is monotone
     np.fill_diagonal(a, 0.0)
     return AffinityMatrix(a, nonnegative=True, zero_diagonal=True)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_matrix
+from ._validate import as_matrix, positive_int
 from .affinity import AffinityMatrix
 from .errors import (
     ConvergenceBoundError,
@@ -82,9 +82,7 @@ def softmax_rows(S, *, _checked: bool = False) -> np.ndarray:
 def scale_scores(S, d_k: int, *, _checked: bool = False) -> np.ndarray:
     """Divide every score by sqrt(d_k)."""
     scores = S if _checked else as_matrix(S, "scores")
-    if int(d_k) != d_k or d_k < 1:
-        raise ValueError(f"d_k must be a positive integer, got {d_k}")
-    return scores / math.sqrt(d_k)
+    return scores / math.sqrt(positive_int(d_k, f"d_k must be a positive integer, got {d_k}"))
 
 
 def masked_softmax_rows(S, mask: NeighborhoodMask, *, _checked: bool = False) -> np.ndarray:
@@ -111,7 +109,8 @@ def sym_degree_normalize(A: AffinityMatrix) -> np.ndarray:
     if np.any(degrees <= 0):
         row = int(np.flatnonzero(degrees <= 0)[0])
         raise ZeroDegreeRow(f"row {row} has zero weighted degree")
-    return m / np.sqrt(np.outer(degrees, degrees))
+    scale = np.outer(degrees, degrees)  # the result's buffer
+    return np.divide(m, np.sqrt(scale, out=scale), out=scale)
 
 
 def _reach(edges: np.ndarray, start: int, skip: np.ndarray) -> np.ndarray:

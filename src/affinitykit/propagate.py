@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._validate import as_matrix
+from ._validate import as_matrix, positive_int
 from .affinity import AffinityMatrix
 from .errors import (
     DimensionMismatch,
@@ -45,8 +45,8 @@ class PathSum:
             raise DimensionMismatch(f"path sum must be square, got {m.shape}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.length != "infinite" and (int(self.length) != self.length or self.length < 1):
-            raise ValueError(f"length must be a positive integer or 'infinite', got {self.length}")
+        if self.length != "infinite":
+            positive_int(self.length, f"length must be a positive integer or 'infinite', got {self.length}")
         object.__setattr__(self, "matrix", m)
 
 
@@ -80,32 +80,27 @@ def single_hop_aggregate(W, V, *, _checked: bool = False) -> np.ndarray:
     return W @ V
 
 
-def _check_length(L) -> int:
-    if int(L) != L or L < 1:
-        raise ValueError(f"L must be a positive integer, got {L}")
-    return int(L)
+def _horner(m: np.ndarray, alpha: float, start: np.ndarray, L: int) -> np.ndarray:
+    """Sum of (alpha m)^k @ start for k = 1..L, as X <- alpha (m (start + X)).
 
-
-def _horner(scaled: np.ndarray, start: np.ndarray, L: int) -> np.ndarray:
-    """Sum of scaled^k @ start for k = 1..L, as X <- scaled (start + X).
-
-    Each step is one product with ``scaled``, and no power is formed:
-    with start = I that is L matrix products, with start = 1 (the row
-    sums) L matrix-vector products.
+    Each step is one product with m, and neither alpha m nor a power is
+    formed: with start = I that is L matrix products, with start = 1 (the
+    row sums) L matrix-vector products.
     """
     total = np.zeros_like(start)
     for _ in range(L):
-        total = scaled @ (start + total)
+        total = alpha * (m @ (start + total))
     return total
 
 
-def _shifted_solve(scaled: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - scaled) X = rhs by one partially pivoted linear solve.
+def _shifted_solve(m: np.ndarray, alpha: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - alpha m) X = rhs by one partially pivoted linear solve.
 
     A singular system here means the supplied scaling lied about the
     spectral radius: the convergence bound alpha * rho < 1 was violated.
     """
-    lhs = np.eye(scaled.shape[0]) - scaled
+    lhs = m * -alpha  # I - alpha m, the only N x N formed here
+    lhs.flat[:: len(lhs) + 1] += 1.0
     try:
         solution = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
@@ -123,9 +118,8 @@ def power_series_truncated(A: AffinityMatrix, alpha: float, L: int) -> PathSum:
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    L = _check_length(L)
-    m = A.matrix
-    return PathSum(_horner(alpha * m, np.eye(m.shape[0]), L), alpha=alpha, length=L)
+    L = positive_int(L, f"L must be a positive integer, got {L}")
+    return PathSum(_horner(A.matrix, alpha, np.eye(A.n), L), alpha=alpha, length=L)
 
 
 def power_series_closed_form(A: AffinityMatrix, scaling: AlphaScaling) -> PathSum:
@@ -134,8 +128,8 @@ def power_series_closed_form(A: AffinityMatrix, scaling: AlphaScaling) -> PathSu
     Computed by one solve of (I - alpha A) X = alpha A rather than an
     explicit inverse; a forged scaling raises :class:`SingularSystem`.
     """
-    scaled = scaling.alpha * A.matrix
-    return PathSum(_shifted_solve(scaled, scaled), alpha=scaling.alpha, length="infinite")
+    alpha = scaling.alpha
+    return PathSum(_shifted_solve(A.matrix, alpha, alpha * A.matrix), alpha=alpha, length="infinite")
 
 
 def path_scores(A: AffinityMatrix, scaling: AlphaScaling, length: int | None = None) -> np.ndarray:
@@ -148,11 +142,10 @@ def path_scores(A: AffinityMatrix, scaling: AlphaScaling, length: int | None = N
     ``inffs_scores`` of :func:`power_series_closed_form` or
     :func:`power_series_truncated` at ``scaling.alpha``.
     """
-    scaled = scaling.alpha * A.matrix
-    ones = np.ones(scaled.shape[0])
+    m, alpha, ones = A.matrix, scaling.alpha, np.ones(A.n)
     if length is None:
-        return _shifted_solve(scaled, scaled @ ones)
-    return _horner(scaled, ones, _check_length(length))
+        return _shifted_solve(m, alpha, alpha * (m @ ones))
+    return _horner(m, alpha, ones, positive_int(length, f"L must be a positive integer, got {length}"))
 
 
 def inffs_scores(ps: PathSum) -> np.ndarray:
@@ -199,12 +192,14 @@ def pagerank(
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
     n = m.shape[0]
-    row_sums = m.sum(axis=1, keepdims=True)
-    transition = np.divide(m, row_sums, out=np.full_like(m, 1.0 / n), where=row_sums > 0)
+    row_sums = m.sum(axis=1)
+    dangling = row_sums == 0
+    row_sums[dangling] = 1.0  # their rows of m are 0: pi P = (pi / row_sums) m + their mass / n
     uniform = np.ones(n) / n
     pi, change = uniform, math.inf
     for _ in range(max_iter):
-        updated = damping * (pi @ transition) + (1.0 - damping) * uniform
+        walk = (pi / row_sums) @ m + pi[dangling].sum() / n
+        updated = damping * walk + (1.0 - damping) * uniform
         change = float(np.abs(updated - pi).sum())
         if change <= tol:
             updated /= updated.sum()

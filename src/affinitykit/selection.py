@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import positive_int
 from .errors import DimensionMismatch, KOutOfRange, NonFiniteScores
 
 
@@ -84,9 +85,8 @@ def select_top_k(r: RankingResult, k: int) -> list[int]:
     ``r.feature_names[i]`` for each returned index.
     """
     n = r.scores.shape[0]
-    if int(k) != k or not 1 <= k <= n:
-        raise KOutOfRange(f"k must lie in 1..{n}, got {k}")
-    return [int(i) for i in r.order[: int(k)]]
+    k = positive_int(k, f"k must lie in 1..{n}, got {k}", KOutOfRange, high=n)
+    return [int(i) for i in r.order[:k]]
 
 
 def gate_forward(x, g: GateVector) -> np.ndarray:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -43,6 +44,17 @@ def run_cli(*args, text=True):
         capture_output=True,
         text=text,
     )
+
+
+def feature_table_csv(path: Path, samples: int, features: int, seed: int) -> Path:
+    """A seeded table of normal columns, every fifth column small integers with many ties."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((samples, features))
+    data[:, ::5] = rng.integers(0, 7, size=(samples, len(range(0, features, 5))))
+    lines = [",".join(f"f{j}" for j in range(features))]
+    lines += [",".join(map(repr, row)) for row in data.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def parse_scores_csv(payload: str) -> dict[str, float]:
@@ -287,6 +299,53 @@ class TestRankCommand:
         result = run_cli("rank", "--input", str(CORR_FIXTURE), "--output", str(out))
         assert result.returncode == 0 and result.stdout == ""
         assert json.loads(out.read_text())["method"] == "inffs"
+
+
+class TestRankMemory:
+    @pytest.mark.parametrize("command", [
+        ["rank"],
+        ["rank", "--truncation", "40"],
+        ["select", "--k", "5", "--method", "ec"],
+        ["rank", "--method", "pagerank"],
+    ], ids=["closed_form", "truncated", "ec", "pagerank"])
+    def test_peak_is_a_small_multiple_of_the_affinity(self, tmp_path, capsys, command):
+        # About 2.4 times one N x N float64, set by the correlation builder; no
+        # later stage copies A, and the closed form forms only I - alpha A.
+        path = feature_table_csv(tmp_path / "wide.csv", 60, 600, seed=1)
+        tracemalloc.start()
+        try:
+            assert main([*command, "--input", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == ""
+        assert peak <= 2.5 * 600 * 600 * 8
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("command", [
+        ["rank", "--truncation", "40"],
+        ["rank", "--method", "pagerank"],
+        ["select", "--k", "50", "--method", "ec"],
+    ], ids=["truncated", "pagerank", "ec"])
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, command):
+        """The matrix-vector forms give the same bytes under 1 and 2 OpenBLAS threads.
+
+        Closed-form ``rank`` is left out: its LAPACK solve blocks by the thread
+        count, and its last digits do (a known defect). Two threads differ from
+        one only on a machine with at least two cores.
+        """
+        path = feature_table_csv(tmp_path / "wide.csv", 120, 1000, seed=1)
+        outputs = []
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "affinitykit", *command, "--input", str(path)],
+                capture_output=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0 and result.stderr == b""
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSerializationContract:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,20 @@ class TestSymDegreeNormalize:
     def test_zero_degree_row(self):
         with pytest.raises(ak.ZeroDegreeRow):
             ak.sym_degree_normalize(ak.AffinityMatrix(np.array([[0.0, 0.0], [1.0, 0.0]])))
+
+    def test_result_is_formed_in_one_buffer_with_the_formulas_bits(self):
+        # About 1.05 times the result: sqrt(d_i d_j) is taken and divided in place.
+        m = np.random.default_rng(5).random((600, 600))
+        a = ak.AffinityMatrix(m + m.T)
+        tracemalloc.start()
+        try:
+            out = ak.sym_degree_normalize(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        degrees = a.matrix.sum(axis=1)
+        assert out.tobytes() == (a.matrix / np.sqrt(np.outer(degrees, degrees))).tobytes()
+        assert peak <= 1.5 * out.nbytes
 
 
 class TestSpectralRadius:
