@@ -98,14 +98,20 @@ def _average_ranks(data: np.ndarray) -> np.ndarray:
     """Column-wise 1-based ranks; tied entries share the mean of their positions."""
     order = np.argsort(data, axis=0, kind="stable")
     ordered = np.take_along_axis(data, order, axis=0)
-    position = np.arange(data.shape[0])[:, None]
     starts = np.ones(data.shape, dtype=bool)  # in sorted order: entry opens a tie group
-    starts[1:] = ordered[1:] != ordered[:-1]
-    ends = np.roll(starts, -1, axis=0)  # starts[0] is True, so the last entry closes one
-    first = np.maximum.accumulate(np.where(starts, position, 0), axis=0)
-    last = np.minimum.accumulate(np.where(ends, position, position[-1])[::-1], axis=0)[::-1]
-    ranks = np.empty(data.shape)
-    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    del ordered
+    position = np.arange(float(data.shape[0]))[:, None]  # whole floats: sums below are exact
+    mean = np.where(starts, position, 0.0)
+    np.maximum.accumulate(mean, axis=0, out=mean)  # the first position of each tie group
+    # starts[0] is True, so the last entry closes a group.
+    last = np.where(np.roll(starts, -1, axis=0), position, position[-1])[::-1]
+    np.minimum.accumulate(last, axis=0, out=last)
+    mean += last[::-1]
+    mean /= 2.0
+    mean += 1.0
+    ranks = last[::-1]  # the last positions are spent; the ranks take their buffer
+    np.put_along_axis(ranks, order, mean, axis=0)
     return ranks
 
 
@@ -119,24 +125,6 @@ def _column_std(data: np.ndarray) -> np.ndarray:
     return np.ldexp(np.ldexp(data, -exponent).std(axis=0), exponent)
 
 
-def _abs_spearman(data: np.ndarray) -> np.ndarray:
-    """|Spearman rho| of every column pair, ties average-ranked, in the Gram buffer.
-
-    Centered average ranks are multiples of 1/2, so below about 3e5 samples each
-    Gram entry is an exact sum, symmetric bit for bit in any BLAS order (above
-    that, numpy's syrk copies one triangle onto the other). Later steps are
-    elementwise, so no mirror is needed. A pair at the Cauchy-Schwarz bound has
-    |g_ij| = d_i = d_j and reads exactly 1; the clamp keeps rounded sums at most 1.
-    """
-    centered = _average_ranks(data) - (data.shape[0] + 1) / 2.0
-    rho = centered.T @ centered
-    den = np.outer(np.diagonal(rho), np.diagonal(rho))
-    np.abs(rho, out=rho)  # a constant column's entries are already 0, its rho by convention
-    np.sqrt(den, out=den)
-    np.divide(rho, den, out=rho, where=den > 0)
-    return np.minimum(rho, 1.0, out=rho)
-
-
 def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix:
     """Feature-graph affinity mixing rescaled variance and rank correlation.
 
@@ -148,6 +136,12 @@ def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix
     one (zero when every column is constant) and rho is the Spearman
     correlation. The diagonal is zero: scores downstream measure
     connectedness to *other* features, so self-loops are excluded.
+
+    A is formed in the Gram product g of the centered average ranks, its only
+    N x N. Those ranks are multiples of 1/2, so below about 3e5 samples g is
+    exact and symmetric bit for bit (above, numpy's syrk mirrors a triangle).
+    The rest is elementwise, |rho_ij| = |g_ij| / sqrt(g_ii * g_jj) a row at a
+    time: a pair at the Cauchy-Schwarz bound reads exactly 1.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
@@ -156,10 +150,20 @@ def build_corr_affinity(ds: FeatureDataset, beta: float = 0.5) -> AffinityMatrix
     sigma = _column_std(ds.data)
     sigma_max = sigma.max()
     spread = beta * (sigma / sigma_max if sigma_max > 0 else np.zeros_like(sigma))
-    a = _abs_spearman(ds.data)
+    centered = _average_ranks(ds.data)
+    centered -= (ds.n_samples + 1) / 2.0
+    a = centered.T @ centered
+    del centered
+    d = np.diagonal(a).copy()
+    d[d == 0] = 1.0  # a constant column's Gram row is exactly 0, its |rho| by convention
+    np.abs(a, out=a)
+    for i, row in enumerate(a):
+        np.divide(row, np.sqrt(d[i] * d), out=row)
+    np.minimum(a, 1.0, out=a)  # a rounded quotient can exceed 1
     np.subtract(1.0, a, out=a)
     a *= 1.0 - beta
-    a += np.maximum.outer(spread, spread)  # beta * max(s_i, s_j): beta >= 0, rounding is monotone
+    for i, row in enumerate(a):
+        row += np.maximum(spread[i], spread)  # beta * max(s_i, s_j): beta >= 0, rounding is monotone
     np.fill_diagonal(a, 0.0)
     return AffinityMatrix(a, nonnegative=True, zero_diagonal=True)
 

@@ -5,9 +5,10 @@ in its embedded-Gaussian and dot-product variants, and the graph
 attention layer. All parameters are caller-supplied inputs; nothing here
 is trained.
 
-Each entry point checks its arguments once, then calls the stage
-functions with ``_checked=True`` so no score or weight matrix is
-scanned again. A score product that overflows shows in the N x d
+Each entry point checks its arguments once, then calls the score,
+softmax and aggregation stages with ``_checked=True`` and divides a
+fresh score block by sqrt(d) in place, so no score or weight matrix
+is scanned again. A score product that overflows shows in the N x d
 output, which is scanned instead.
 
 Softmax attention (``attention``, ``multi_head_attention`` and the
@@ -23,15 +24,16 @@ variant and the GAT layer stay dense.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._validate import as_matrix, as_vector
+from ._validate import as_matrix, as_vector, positive_int
 from .affinity import build_dot_product_affinity, build_gat_scores
 from .errors import DimensionMismatch, NonFiniteInput
-from .normalize import NeighborhoodMask, masked_softmax_rows, scale_scores, softmax_rows
+from .normalize import NeighborhoodMask, masked_softmax_rows, softmax_rows
 from .propagate import single_hop_aggregate
 
 
@@ -45,8 +47,10 @@ class AttentionConfig:
     scale: bool = True
 
     def __post_init__(self):
-        if min(self.d_model, self.heads, self.d_k) < 1:
-            raise ValueError("d_model, heads and d_k must be positive")
+        for field in ("d_model", "heads", "d_k"):
+            value = getattr(self, field)
+            count = positive_int(value, f"{field} must be a positive integer, got {value}")
+            object.__setattr__(self, field, count)
         if self.d_model != self.heads * self.d_k:
             raise DimensionMismatch(
                 f"d_model ({self.d_model}) must equal heads * d_k "
@@ -145,7 +149,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: bool) -> np.n
     for start in range(0, q.shape[0], step):
         scores = build_dot_product_affinity(q[start:start + step], k, _checked=True)
         if scale:
-            scores = scale_scores(scores, q.shape[1], _checked=True)
+            scores /= math.sqrt(q.shape[1])
         weights = softmax_rows(scores, _checked=True)
         out[start:start + step] = single_hop_aggregate(weights, v, _checked=True)
     return _finite(out)

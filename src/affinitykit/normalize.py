@@ -79,9 +79,9 @@ def softmax_rows(S, *, _checked: bool = False) -> np.ndarray:
     return weights
 
 
-def scale_scores(S, d_k: int, *, _checked: bool = False) -> np.ndarray:
+def scale_scores(S, d_k: int) -> np.ndarray:
     """Divide every score by sqrt(d_k)."""
-    scores = S if _checked else as_matrix(S, "scores")
+    scores = as_matrix(S, "scores")
     return scores / math.sqrt(positive_int(d_k, f"d_k must be a positive integer, got {d_k}"))
 
 

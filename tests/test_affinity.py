@@ -186,8 +186,8 @@ class TestCorrAffinity:
         assert_array_equal(bits(a.matrix), bits(a.matrix.T))
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
-        # About 2.4 times: the Gram buffer and its denominators, then the result and
-        # the outer maximum of the scaled spreads.
+        # About 1.2 times: the Gram buffer, which becomes the result, then one
+        # row's temporaries at a time; no N x N denominators or outer maximum.
         ds = ak.FeatureDataset(np.random.default_rng(17).normal(size=(60, 300)),
                                tuple(f"f{i}" for i in range(300)))
         tracemalloc.start()
@@ -196,7 +196,22 @@ class TestCorrAffinity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 300 * 300 * 8
+        assert peak <= 1.5 * 300 * 300 * 8
+
+    def test_peak_memory_on_a_tall_table_is_a_small_multiple_of_the_table(self):
+        # About 3.3 times the table, in the average ranks: the sort order and two
+        # float position buffers, the second of which becomes the ranks.
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((2000, 200))
+        data[:, ::5] = rng.integers(0, 7, size=(2000, 40))
+        ds = ak.FeatureDataset(data, tuple(f"f{i}" for i in range(200)))
+        tracemalloc.start()
+        try:
+            ak.build_corr_affinity(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * data.nbytes
 
     def test_beta_domain(self):
         with pytest.raises(ValueError):

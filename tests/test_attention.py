@@ -133,6 +133,11 @@ class TestMultiHeadAttention:
         with pytest.raises(ak.DimensionMismatch):
             ak.AttentionConfig(d_model=5, heads=2, d_k=2)
 
+    def test_config_stores_whole_float_counts_as_ints(self):
+        cfg = ak.AttentionConfig(d_model=4.0, heads=np.int64(2), d_k=2.0)
+        assert (cfg.d_model, cfg.heads, cfg.d_k) == (4, 2, 2)
+        assert all(type(n) is int for n in (cfg.d_model, cfg.heads, cfg.d_k))
+
     def test_head_count_mismatch(self):
         cfg = ak.AttentionConfig(d_model=2, heads=2, d_k=1)
         proj = ak.ProjectionSet((np.ones((2, 1)),), (np.ones((2, 1)),), (np.ones((2, 1)),), np.ones((1, 2)))

@@ -302,15 +302,17 @@ class TestRankCommand:
 
 
 class TestRankMemory:
-    @pytest.mark.parametrize("command", [
-        ["rank"],
-        ["rank", "--truncation", "40"],
-        ["select", "--k", "5", "--method", "ec"],
-        ["rank", "--method", "pagerank"],
+    # Bounds over one N x N float64. The correlation builder allocates only the
+    # Gram buffer that becomes A, and no later stage copies A, so the matvec
+    # methods peak near 1.3 times; the closed form's solve forms I - alpha A
+    # beside A, near 2 times.
+    @pytest.mark.parametrize("command,bound", [
+        (["rank"], 2.5),
+        (["rank", "--truncation", "40"], 1.5),
+        (["select", "--k", "5", "--method", "ec"], 1.5),
+        (["rank", "--method", "pagerank"], 1.5),
     ], ids=["closed_form", "truncated", "ec", "pagerank"])
-    def test_peak_is_a_small_multiple_of_the_affinity(self, tmp_path, capsys, command):
-        # About 2.4 times one N x N float64, set by the correlation builder; no
-        # later stage copies A, and the closed form forms only I - alpha A.
+    def test_peak_is_a_small_multiple_of_the_affinity(self, tmp_path, capsys, command, bound):
         path = feature_table_csv(tmp_path / "wide.csv", 60, 600, seed=1)
         tracemalloc.start()
         try:
@@ -319,7 +321,7 @@ class TestRankMemory:
         finally:
             tracemalloc.stop()
         assert capsys.readouterr().err == ""
-        assert peak <= 2.5 * 600 * 600 * 8
+        assert peak <= bound * 600 * 600 * 8
 
 
 class TestBlasThreads:

@@ -18,6 +18,12 @@ COUNTS = {
                 ValueError, "length must be a positive integer or 'infinite', got {}"),
     "scale_scores": (lambda v: ak.scale_scores(np.eye(2), v),
                      ValueError, "d_k must be a positive integer, got {}"),
+    "AttentionConfig.d_model": (lambda v: ak.AttentionConfig(v, 2, 1),
+                                ValueError, "d_model must be a positive integer, got {}"),
+    "AttentionConfig.heads": (lambda v: ak.AttentionConfig(2, v, 1),
+                              ValueError, "heads must be a positive integer, got {}"),
+    "AttentionConfig.d_k": (lambda v: ak.AttentionConfig(2, 1, v),
+                            ValueError, "d_k must be a positive integer, got {}"),
     "select_top_k": (lambda v: ak.select_top_k(ak.rank([1.0, 2.0, 3.0]), v),
                      ak.KOutOfRange, "k must lie in 1..3, got {}"),
 }
