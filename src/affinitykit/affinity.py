@@ -75,8 +75,8 @@ class AffinityMatrix:
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"affinity matrix must be square, got {m.shape}")
         if self.nonnegative is None:
-            object.__setattr__(self, "nonnegative", bool(np.all(m >= 0)))
-        elif self.nonnegative and np.any(m < 0):
+            object.__setattr__(self, "nonnegative", bool(m.min() >= 0))
+        elif self.nonnegative and m.min() < 0:
             raise NegativeEntries("matrix flagged nonnegative has negative entries")
         diag = np.diagonal(m)
         if self.zero_diagonal is None:
@@ -224,15 +224,20 @@ def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
     return AffinityMatrix(sq, nonnegative=True, zero_diagonal=False)
 
 
-def build_gat_scores(H, W, a, slope: float = 0.2, *, _checked: bool = False) -> np.ndarray:
+def _leaky_outer(source: np.ndarray, target: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU(source_i + target_j) for every pair, as np.maximum(s, slope * s) in place."""
+    scores = np.add.outer(source, target)
+    return np.maximum(scores, slope * scores, out=scores)
+
+
+def build_gat_scores(H, W, a, slope: float = 0.2) -> np.ndarray:
     """Concatenation scorer e_ij = LeakyReLU(a . [W h_i, W h_j]).
 
     Returns raw scores for every ordered pair; neighborhood masking is
     the normalizer's job. The scorer splits into a source and a target
     half, so the full matrix is one outer sum of two projected vectors.
     """
-    if not _checked:
-        H, W, a = as_matrix(H, "H"), as_matrix(W, "W"), as_vector(a, "a")
+    H, W, a = as_matrix(H, "H"), as_matrix(W, "W"), as_vector(a, "a")
     if W.shape[0] != H.shape[1]:
         raise DimensionMismatch(
             f"W rows ({W.shape[0]}) must match H columns ({H.shape[1]})"
@@ -245,5 +250,4 @@ def build_gat_scores(H, W, a, slope: float = 0.2, *, _checked: bool = False) -> 
     if not 0.0 < slope < 1.0:
         raise ValueError(f"LeakyReLU slope must lie in (0, 1), got {slope}")
     projected = H @ W
-    scores = np.add.outer(projected @ a[:f_out], projected @ a[f_out:])
-    return np.maximum(scores, slope * scores, out=scores)
+    return _leaky_outer(projected @ a[:f_out], projected @ a[f_out:], slope)

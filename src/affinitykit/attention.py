@@ -5,21 +5,17 @@ in its embedded-Gaussian and dot-product variants, and the graph
 attention layer. All parameters are caller-supplied inputs; nothing here
 is trained.
 
-Each entry point checks its arguments once, then calls the score,
-softmax and aggregation stages with ``_checked=True`` and divides a
-fresh score block by sqrt(d) in place, so no score or weight matrix
-is scanned again. A score product that overflows shows in the N x d
-output, which is scanned instead.
-
-Softmax attention (``attention``, ``multi_head_attention`` and the
-embedded-Gaussian ``non_local_block``) scores, normalizes and aggregates
-one block of query rows at a time. Softmax rows are independent, so each
-output row goes through the dense formula's operations, with one block
-of ``_BLOCK_BYTES`` beside the N x d output instead of several N x N
-temporaries. Only the BLAS may round a block's scores a few ulps apart
-from the full product's; with OpenBLAS they agree at the benchmark's
-shapes and in the ``attend`` golden file. The dot-product non-local
-variant and the GAT layer stay dense.
+Each is one hop over an affinity, and ``_one_hop`` runs it for all of
+them: a block of rows holding ``_BLOCK_BYTES`` of scores is scored
+against every key, normalized and aggregated into its rows of the N x d
+output. Only the block's weights differ: softmax(q k^T [/ sqrt(d)]),
+theta phi^T / N, or GAT's LeakyReLU(source_i + target_j) under a softmax
+masked to each row's neighborhood. Rows are independent, so no N x N
+matrix is formed and each output row goes through the dense formula's
+operations; only the BLAS may round a block's products a few ulps apart
+from the full ones. Each entry point checks its arguments once and calls
+the stages with ``_checked=True``; an overflow shows in the output,
+which is scanned once instead of every block.
 """
 
 from __future__ import annotations
@@ -31,9 +27,9 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from ._validate import as_matrix, as_vector, positive_int
-from .affinity import build_dot_product_affinity, build_gat_scores
+from .affinity import _leaky_outer, build_dot_product_affinity
 from .errors import DimensionMismatch, NonFiniteInput
-from .normalize import NeighborhoodMask, masked_softmax_rows, softmax_rows
+from .normalize import NeighborhoodMask, softmax_rows
 from .propagate import single_hop_aggregate
 
 
@@ -132,27 +128,26 @@ class GatParams:
 _BLOCK_BYTES = 2**20
 
 
-def _finite(out: np.ndarray) -> np.ndarray:
+def _one_hop(rows: int, weights: Callable[[slice], np.ndarray], values: np.ndarray) -> np.ndarray:
+    """weights(b) @ values for each block b of rows with ``_BLOCK_BYTES`` of scores,
+    into a rows x d output that is then scanned once for overflow."""
+    out = np.empty((rows, values.shape[1]))
+    step = max(1, _BLOCK_BYTES // (8 * values.shape[0]))
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        out[block] = single_hop_aggregate(weights(block), values, _checked=True)
     if not np.all(np.isfinite(out)):
         raise NonFiniteInput("attention output is not finite: a score or weighted sum overflowed")
     return out
 
 
-def _aggregate(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return _finite(single_hop_aggregate(weights, values, _checked=True))
-
-
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: bool) -> np.ndarray:
-    """softmax(q k^T [/ sqrt(d)]) v, a block of ``_BLOCK_BYTES`` of scores at a time."""
-    out = np.empty((q.shape[0], v.shape[1]))
-    step = max(1, _BLOCK_BYTES // (8 * k.shape[0]))
-    for start in range(0, q.shape[0], step):
-        scores = build_dot_product_affinity(q[start:start + step], k, _checked=True)
+    def weights(block):
+        scores = build_dot_product_affinity(q[block], k, _checked=True)
         if scale:
             scores /= math.sqrt(q.shape[1])
-        weights = softmax_rows(scores, _checked=True)
-        out[start:start + step] = single_hop_aggregate(weights, v, _checked=True)
-    return _finite(out)
+        return softmax_rows(scores, _checked=True)
+    return _one_hop(q.shape[0], weights, v)
 
 
 def attention(Q, K, V, scale: bool = True) -> np.ndarray:
@@ -164,9 +159,7 @@ def attention(Q, K, V, scale: bool = True) -> np.ndarray:
     """
     q, k, v = as_matrix(Q, "Q"), as_matrix(K, "K"), as_matrix(V, "V")
     if k.shape[0] != v.shape[0]:
-        raise DimensionMismatch(
-            f"K has {k.shape[0]} rows but V has {v.shape[0]}"
-        )
+        raise DimensionMismatch(f"K has {k.shape[0]} rows but V has {v.shape[0]}")
     return _attention(q, k, v, scale)
 
 
@@ -174,9 +167,7 @@ def multi_head_attention(X, cfg: AttentionConfig, proj: ProjectionSet) -> np.nda
     """Concatenated per-head attention followed by the output projection."""
     x = as_matrix(X, "X")
     if x.shape[1] != cfg.d_model:
-        raise DimensionMismatch(
-            f"X has width {x.shape[1]}, config expects d_model {cfg.d_model}"
-        )
+        raise DimensionMismatch(f"X has width {x.shape[1]}, config expects d_model {cfg.d_model}")
     if proj.heads != cfg.heads:
         raise DimensionMismatch(
             f"projection set has {proj.heads} heads, config expects {cfg.heads}"
@@ -217,22 +208,31 @@ def non_local_block(
     if variant == "embedded_gaussian":
         y = _attention(theta, phi, g, scale=False)
     elif variant == "dot_product":
-        y = _aggregate(build_dot_product_affinity(theta, phi, _checked=True) / x.shape[0], g)
+        def weights(block):
+            scores = build_dot_product_affinity(theta[block], phi, _checked=True)
+            return np.divide(scores, x.shape[0], out=scores)
+        y = _one_hop(x.shape[0], weights, g)
     else:
         raise ValueError(f"unknown non-local variant: {variant!r}")
     if proj.wz is not None:
         y = y @ proj.wz
     if y.shape != x.shape:
-        raise DimensionMismatch(
-            f"residual add needs output shape {x.shape}, got {y.shape}"
-        )
+        raise DimensionMismatch(f"residual add needs output shape {x.shape}, got {y.shape}")
     return x + y
 
 
 def _gat_layer(h: np.ndarray, params: GatParams, mask: NeighborhoodMask, activation) -> np.ndarray:
-    scores = build_gat_scores(h, params.w, params.a, params.slope, _checked=True)
-    weights = masked_softmax_rows(scores, mask, _checked=True)
-    out = _aggregate(weights, h @ params.wprime)
+    """softmax over mask.allowed of LeakyReLU(source_i + target_j), times h wprime."""
+    if params.w.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"W rows ({params.w.shape[0]}) must match H columns ({h.shape[1]})")
+    if mask.n != h.shape[0]:
+        raise DimensionMismatch(f"mask shape {mask.allowed.shape} does not match {h.shape[0]} nodes")
+    projected, f_out = h @ params.w, params.w.shape[1]
+    source, target = projected @ params.a[:f_out], projected @ params.a[f_out:]
+    def weights(block):
+        scores = _leaky_outer(source[block], target, params.slope)
+        return softmax_rows(np.where(mask.allowed[block], scores, -np.inf), _checked=True)
+    out = _one_hop(h.shape[0], weights, h @ params.wprime)
     return activation(out) if activation is not None else out
 
 

@@ -85,14 +85,14 @@ def scale_scores(S, d_k: int) -> np.ndarray:
     return scores / math.sqrt(positive_int(d_k, f"d_k must be a positive integer, got {d_k}"))
 
 
-def masked_softmax_rows(S, mask: NeighborhoodMask, *, _checked: bool = False) -> np.ndarray:
+def masked_softmax_rows(S, mask: NeighborhoodMask) -> np.ndarray:
     """Row softmax restricted to each row's allowed neighborhood.
 
     Disallowed scores are treated as -inf before exponentiation, so the
     corresponding weights are exactly zero and every row remains a true
     softmax over its neighborhood.
     """
-    scores = S if _checked else as_matrix(S, "scores")
+    scores = as_matrix(S, "scores")
     if mask.allowed.shape != scores.shape:
         raise DimensionMismatch(
             f"mask shape {mask.allowed.shape} does not match scores {scores.shape}"
@@ -103,7 +103,7 @@ def masked_softmax_rows(S, mask: NeighborhoodMask, *, _checked: bool = False) ->
 def sym_degree_normalize(A: AffinityMatrix) -> np.ndarray:
     """Normalize entries by the geometric mean of weighted row degrees."""
     m = A.matrix
-    if np.any(m < 0):
+    if m.min() < 0:
         raise NegativeEntries("degree normalization requires nonnegative entries")
     degrees = m.sum(axis=1)
     if np.any(degrees <= 0):
@@ -195,7 +195,7 @@ def _perron(m: np.ndarray, tol: float, max_iter: int,
     |(m x)_i - hi x_i| <= tol * hi * x_i: on a reducible m, 0 off the classes
     that reach the top class, where the loop runs once more as one class.
     """
-    if np.any(m < 0):
+    if m.min() < 0:
         raise NegativeEntries("power iteration requires nonnegative entries")
     if not (tol > 0 and max_iter >= 1):
         raise ValueError("tol must be positive and max_iter at least 1")

@@ -187,7 +187,7 @@ def pagerank(
     returned vector's own stationarity gap is below tol as well.
     """
     m = A.matrix
-    if np.any(m < 0):
+    if m.min() < 0:
         raise NegativeEntries("PageRank requires nonnegative entries")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")

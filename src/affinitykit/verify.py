@@ -3,14 +3,14 @@
 Each property exercises one structural identity the library is organized
 around: the closed-form path series against its truncation, the one-hop
 degeneration to weighted degrees, the non-local block's reduction to
-attention, the GAT layer's reduction to dense concat-scored attention,
-the stacking-equals-multi-hop composition law, permutation
-equivariance of the ranking scores, the score-only path series
-against the row sums of the path matrix, the generator's
-closed-form draws against its one-step recurrence, attention in
-query-row blocks against the dense formula, the Gaussian affinity's
-once-per-pair distances against the broadcast formula, and the CLI's
-whole-array float text against ``repr``.
+attention, the GAT layer's reduction to dense concat-scored attention
+masked to each row's neighborhood, the stacking-equals-multi-hop
+composition law, permutation equivariance of the ranking scores, the
+score-only path series against the row sums of the path matrix, the
+generator's closed-form draws against its one-step recurrence,
+attention in query-row blocks against the dense formula, the Gaussian
+affinity's once-per-pair distances against the broadcast formula, and
+the CLI's whole-array float text against ``repr``.
 
 A property is a function ``(gen, fraction) -> error`` that draws one
 instance from ``gen`` and returns its largest absolute error, plus a row
@@ -33,7 +33,7 @@ from .attention import (
     gat_layer,
     non_local_block,
 )
-from .normalize import NeighborhoodMask, choose_alpha, scale_scores, softmax_rows
+from .normalize import NeighborhoodMask, choose_alpha, masked_softmax_rows, scale_scores, softmax_rows
 from .propagate import (
     inffs_scores,
     path_scores,
@@ -106,8 +106,9 @@ def _nonlocal_equals_attention(gen: Lcg, fraction: float) -> float:
 
 
 def _gat_equals_dense_attention(gen: Lcg, fraction: float) -> float:
-    """Fully connected GAT with identity activation equals the manual
-    scorer + softmax + aggregation composition."""
+    """GAT with identity activation, on a random neighborhood mask that keeps
+    every diagonal entry, equals the manual scorer + masked softmax +
+    aggregation composition."""
     n = gen.randint(2, 16)
     f_in = gen.randint(1, 6)
     f_out = gen.randint(1, 6)
@@ -118,9 +119,11 @@ def _gat_equals_dense_attention(gen: Lcg, fraction: float) -> float:
         a=gen.vector(2 * f_out, -0.5, 0.5),
         slope=0.2,
     )
-    layered = gat_layer(h, params, NeighborhoodMask.full(n))
-    scores = build_gat_scores(h, params.w, params.a, params.slope)
-    return _max_abs(layered - single_hop_aggregate(softmax_rows(scores), h @ params.wprime))
+    allowed = gen.matrix(n, n) < 0.5
+    np.fill_diagonal(allowed, True)
+    mask = NeighborhoodMask(allowed)
+    weights = masked_softmax_rows(build_gat_scores(h, params.w, params.a, params.slope), mask)
+    return _max_abs(gat_layer(h, params, mask) - single_hop_aggregate(weights, h @ params.wprime))
 
 
 def _stacking_composition(gen: Lcg, fraction: float) -> float:

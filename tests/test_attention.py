@@ -320,6 +320,53 @@ class TestQueryRowBlocks:
         assert_close_to(ak.non_local_block(x, proj) - x, dense_attention(theta, phi, g, scale=False))
         assert_close_to(ak.non_local_block(x, proj, "dot_product") - x, theta @ phi.T / 600 @ g)
 
+    @staticmethod
+    def _gat_instance(seed, heads):
+        # 600 nodes make 218-row blocks, the last one partial.
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(600, 6))
+        allowed = rng.random((600, 600)) < 0.05
+        np.fill_diagonal(allowed, True)
+        params = [ak.GatParams(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)), rng.normal(size=8))
+                  for _ in range(heads)]
+        return h, params, ak.NeighborhoodMask(allowed)
+
+    @staticmethod
+    def _dense_gat(h, params, mask):
+        scores = ak.build_gat_scores(h, params.w, params.a, params.slope)
+        return ak.masked_softmax_rows(scores, mask) @ h @ params.wprime
+
+    def test_gat_layer_equals_dense_formula(self):
+        h, (params,), mask = self._gat_instance(34, 1)
+        assert_close_to(ak.gat_layer(h, params, mask), self._dense_gat(h, params, mask))
+
+    def test_multi_head_gat_equals_dense_formula(self):
+        h, params, mask = self._gat_instance(35, 2)
+        heads = [self._dense_gat(h, p, mask) for p in params]
+        assert_close_to(ak.multi_head_gat(h, params, mask), np.hstack(heads))
+        assert_close_to(ak.multi_head_gat(h, params, mask, mode="average"), np.mean(heads, axis=0))
+
+    @pytest.mark.parametrize("call", [
+        lambda x, mask, p, nl: ak.gat_layer(x, p, mask),
+        lambda x, mask, p, nl: ak.non_local_block(x, nl, "dot_product"),
+    ], ids=["gat_layer", "non_local_block-dot_product"])
+    def test_scratch_is_blocks_not_n_by_n(self, call):
+        # One 2048 x 2048 float64 is 32 MB; the mask is allocated before tracing.
+        rng = np.random.default_rng(36)
+        x = rng.normal(size=(2048, 8))
+        allowed = rng.random((2048, 2048)) < 0.05
+        np.fill_diagonal(allowed, True)
+        mask = ak.NeighborhoodMask(allowed)
+        params = ak.GatParams(rng.normal(size=(8, 8)), rng.normal(size=(8, 8)), rng.normal(size=16))
+        nl = ak.NonLocalProjections(*(rng.normal(size=(8, 8)) for _ in range(3)))
+        tracemalloc.start()
+        try:
+            call(x, mask, params, nl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 2048 * 2048 * 8
+
     def test_attention_scratch_is_one_block_not_n_by_n(self):
         # One 2048 x 2048 score matrix alone is 32 MB.
         rng = np.random.default_rng(33)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,6 +323,18 @@ class TestPagerank:
         message = str(info.value)
         assert message.startswith("PageRank did not converge within 1 iterations: last L1 change ")
         assert float(message.rsplit(" ", 1)[1]) > 1e-10
+
+    def test_peak_memory_is_vectors_not_a_copy_of_the_matrix(self):
+        # The sign check scans A's minimum, and each step is one matvec, so
+        # nothing N x N is allocated: not a transition matrix, not a bool.
+        a = ak.AffinityMatrix(np.random.default_rng(20).random((2000, 2000)))
+        tracemalloc.start()
+        try:
+            ak.pagerank(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * 2000 * 2000 * 8
 
     @pytest.mark.parametrize("damping", [0.0, 1.0, -0.5])
     def test_damping_domain(self, damping):

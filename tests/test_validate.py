@@ -42,3 +42,34 @@ def test_a_count_that_is_not_a_positive_integer_raises_the_functions_own_error(e
 def test_a_whole_float_count_is_accepted(entry):
     call = COUNTS[entry][0]
     call(2.0)
+
+
+NEGATIVE = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, -1e-300], [2.0, 1.0, 0.0]])
+
+# Each public stage that requires nonnegative entries, and the message it owns.
+NEGATIVE_ENTRIES = {
+    "AffinityMatrix": (lambda m: ak.AffinityMatrix(m, nonnegative=True),
+                       "matrix flagged nonnegative has negative entries"),
+    "sym_degree_normalize": (lambda m: ak.sym_degree_normalize(ak.AffinityMatrix(m)),
+                             "degree normalization requires nonnegative entries"),
+    "spectral_radius": (lambda m: ak.spectral_radius(ak.AffinityMatrix(m)),
+                        "power iteration requires nonnegative entries"),
+    "choose_alpha": (lambda m: ak.choose_alpha(ak.AffinityMatrix(m)),
+                     "power iteration requires nonnegative entries"),
+    "eigenvector_centrality": (lambda m: ak.eigenvector_centrality(ak.AffinityMatrix(m)),
+                               "power iteration requires nonnegative entries"),
+    "pagerank": (lambda m: ak.pagerank(ak.AffinityMatrix(m)), "PageRank requires nonnegative entries"),
+}
+
+
+@pytest.mark.parametrize("entry", list(NEGATIVE_ENTRIES))
+def test_a_negative_entry_raises_the_stages_own_message(entry):
+    call, message = NEGATIVE_ENTRIES[entry]
+    with pytest.raises(ak.NegativeEntries, match=f"^{re.escape(message)}$"):
+        call(NEGATIVE)
+    call(np.abs(NEGATIVE))  # the same matrix without its negative sign passes
+
+
+def test_the_inferred_sign_flag_reads_the_smallest_entry():
+    assert ak.AffinityMatrix(NEGATIVE).nonnegative is False
+    assert ak.AffinityMatrix(np.where(NEGATIVE < 0, -0.0, NEGATIVE)).nonnegative is True
