@@ -11,8 +11,9 @@ def _as_array(value, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatch(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput(f"{name} contains NaN or infinite entries")
+    with np.errstate(invalid="ignore"):  # some numpy builds flag NaN in min/max
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise NonFiniteInput(f"{name} contains NaN or infinite entries")
     return arr
 
 
@@ -31,3 +32,10 @@ def positive_int(value, message: str, error: type = ValueError, high: float = np
     if 1 <= value <= high and value < np.inf and int(value) == value:
         return int(value)
     raise error(message)
+
+
+def iteration_count(tol, max_iter) -> int:
+    """``int(max_iter)`` for an iterative method's positive ``tol`` and whole ``max_iter`` >= 1."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    return positive_int(max_iter, f"max_iter must be a positive integer, got {max_iter}")

@@ -64,6 +64,9 @@ class AffinityMatrix:
 
     ``None`` flags are inferred from the entries; ``True`` flags are checked
     and raise when the data violates them; ``False`` is stored unchecked.
+    A float array is held as the caller's array, not a copy, so a flag holds
+    only for the entries it was checked on: each stage that needs A >= 0
+    reads ``matrix.min()`` again instead of trusting ``nonnegative``.
     """
 
     matrix: np.ndarray

@@ -260,10 +260,10 @@ def multi_head_gat(
     """Several GAT heads joined along features or averaged."""
     if not params:
         raise ValueError("at least one head is required")
+    if mode not in ("concat", "average"):
+        raise ValueError(f"unknown multi-head mode: {mode!r}")
     h = as_matrix(H, "H")
     outputs = [_gat_layer(h, p, mask, activation) for p in params]
     if mode == "concat":
         return np.hstack(outputs)
-    if mode == "average":
-        return np.mean(np.stack(outputs, axis=0), axis=0)
-    raise ValueError(f"unknown multi-head mode: {mode!r}")
+    return np.mean(np.stack(outputs, axis=0), axis=0)

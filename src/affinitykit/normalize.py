@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_matrix, positive_int
+from ._validate import as_matrix, iteration_count, positive_int
 from .affinity import AffinityMatrix
 from .errors import (
     ConvergenceBoundError,
@@ -113,30 +113,30 @@ def sym_degree_normalize(A: AffinityMatrix) -> np.ndarray:
     return np.divide(m, np.sqrt(scale, out=scale), out=scale)
 
 
-def _reach(edges: np.ndarray, start: int, skip: np.ndarray) -> np.ndarray:
+def _reach(m: np.ndarray, start: int, skip: np.ndarray) -> np.ndarray:
     """Mask of the nodes that paths from ``start`` outside ``skip`` lead to, i to j
-    where edges[i, j]. Each step reads only the frontier's edges to new nodes."""
-    found = np.zeros(len(edges), dtype=bool)
+    where m[i, j] > 0. Each step reads only the frontier's block of m to new nodes."""
+    found = np.zeros(len(m), dtype=bool)
     found[start] = True
     frontier = np.array([start])
     while frontier.size:
         free = np.flatnonzero(~(found | skip))
-        frontier = free[edges[np.ix_(frontier, free)].any(axis=0)]
+        frontier = free[(m[np.ix_(frontier, free)] > 0).any(axis=0)]
         found[frontier] = True
     return found
 
 
-def _classes(edges: np.ndarray) -> np.ndarray:
-    """Label of each node's strongly connected class: the unlabelled nodes that it
-    reaches and that reach it. The next start is the last node reached, so on a
-    chain each search stops at the labelled nodes."""
-    labels = np.full(len(edges), -1)
-    starts = list(range(len(edges) - 1, -1, -1))
+def _classes(m: np.ndarray) -> np.ndarray:
+    """Label of each node's strongly connected class in m's positive entries: the
+    unlabelled nodes that it reaches and that reach it. The next start is the last
+    node reached, so on a chain each search stops at the labelled nodes."""
+    labels = np.full(len(m), -1)
+    starts = list(range(len(m) - 1, -1, -1))
     while starts:
         start = starts.pop()
         if labels[start] < 0:
-            ahead = _reach(edges, start, labels >= 0)
-            labels[_reach(edges.T, start, ~ahead)] = labels.max() + 1
+            ahead = _reach(m, start, labels >= 0)
+            labels[_reach(m.T, start, ~ahead)] = labels.max() + 1
             starts.extend(np.flatnonzero(ahead))
     return labels
 
@@ -197,13 +197,11 @@ def _perron(m: np.ndarray, tol: float, max_iter: int,
     """
     if m.min() < 0:
         raise NegativeEntries("power iteration requires nonnegative entries")
-    if not (tol > 0 and max_iter >= 1):
-        raise ValueError("tol must be positive and max_iter at least 1")
-    edges = m > 0
-    labels = _classes(edges)
+    max_iter = iteration_count(tol, max_iter)
+    labels = _classes(m)
     x, lo, hi, top = _power(m, labels, tol, max_iter, not vector)
     if vector and labels.max() > 0 and hi > 0:
-        keep = _reach(edges.T, top, np.zeros(len(m), dtype=bool))
+        keep = _reach(m.T, top, np.zeros(len(m), dtype=bool))
         x = np.zeros(len(m))
         x[keep], lo, hi, _ = _power(m[np.ix_(keep, keep)], np.zeros(keep.sum(), dtype=int),
                                     tol, max_iter, False)

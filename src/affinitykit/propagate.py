@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._validate import as_matrix, positive_int
+from ._validate import as_matrix, iteration_count, positive_int
 from .affinity import AffinityMatrix
 from .errors import (
     DimensionMismatch,
@@ -191,6 +191,7 @@ def pagerank(
         raise NegativeEntries("PageRank requires nonnegative entries")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
+    max_iter = iteration_count(tol, max_iter)
     n = m.shape[0]
     row_sums = m.sum(axis=1)
     dangling = row_sums == 0

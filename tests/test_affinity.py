@@ -73,6 +73,18 @@ class TestAffinityMatrixType:
         with pytest.raises(ak.NonFiniteInput):
             ak.AffinityMatrix(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
+    def test_validation_reads_the_matrix_without_copying_it(self):
+        # Finiteness and sign are read from A's minimum and maximum: no N x N bool.
+        m = np.random.default_rng(8).random((1000, 1000))
+        tracemalloc.start()
+        try:
+            a = ak.AffinityMatrix(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.matrix is m
+        assert peak <= 0.01 * m.nbytes
+
     @pytest.mark.filterwarnings("error")  # numpy 2 warns on an __array__ without ``copy``
     @pytest.mark.parametrize("build", [lambda x: ak.build_dot_product_affinity(x, x),
                                        lambda x: ak.build_gaussian_affinity(x, 1.5)],
@@ -186,8 +198,9 @@ class TestCorrAffinity:
         assert_array_equal(bits(a.matrix), bits(a.matrix.T))
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
-        # About 1.2 times: the Gram buffer, which becomes the result, then one
-        # row's temporaries at a time; no N x N denominators or outer maximum.
+        # About 1.2 times at 60 x 300, where the ranks count: the Gram buffer,
+        # which becomes the result, then one row's temporaries at a time; no
+        # N x N denominators or outer maximum, and no bool from the finiteness check.
         ds = ak.FeatureDataset(np.random.default_rng(17).normal(size=(60, 300)),
                                tuple(f"f{i}" for i in range(300)))
         tracemalloc.start()
@@ -197,6 +210,19 @@ class TestCorrAffinity:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 300 * 300 * 8
+
+    def test_peak_memory_on_a_wide_table_is_the_result_and_a_row(self):
+        # About 1.04 times: at 40 x 1000 the Gram buffer that becomes A sets the
+        # peak, beside one row's temporaries and the 40 x 1000 ranks.
+        ds = ak.FeatureDataset(np.random.default_rng(17).normal(size=(40, 1000)),
+                               tuple(f"f{i}" for i in range(1000)))
+        tracemalloc.start()
+        try:
+            ak.build_corr_affinity(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.08 * 1000 * 1000 * 8
 
     def test_peak_memory_on_a_tall_table_is_a_small_multiple_of_the_table(self):
         # About 3.3 times the table, in the average ranks: the sort order and two

@@ -272,6 +272,13 @@ class TestMultiHeadGat:
         with pytest.raises(ValueError):
             ak.multi_head_gat(h, [self._params(rng)], mask, mode="sum")
 
+    def test_mode_is_checked_before_any_head_runs(self):
+        # The head's w expects 3 features, so running it would raise DimensionMismatch.
+        rng = np.random.default_rng(15)
+        with pytest.raises(ValueError, match="^unknown multi-head mode: 'sum'$"):
+            ak.multi_head_gat(rng.normal(size=(3, 4)), [self._params(rng)],
+                              ak.NeighborhoodMask.full(3), mode="sum")
+
 
 def dense_attention(q, k, v, scale=True):
     """The whole score matrix at once, in plain numpy."""

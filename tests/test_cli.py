@@ -303,9 +303,9 @@ class TestRankCommand:
 
 class TestRankMemory:
     # Bounds over one N x N float64. The correlation builder allocates only the
-    # Gram buffer that becomes A, and no later stage copies A, so the matvec
-    # methods peak near 1.3 times; the closed form's solve forms I - alpha A
-    # beside A, near 2 times.
+    # Gram buffer that becomes A, and neither validation nor a later stage copies
+    # A, so at 60 x 600 the matvec methods peak near 1.24 times; the closed
+    # form's solve forms I - alpha A beside A, near 2.14 times.
     @pytest.mark.parametrize("command,bound", [
         (["rank"], 2.5),
         (["rank", "--truncation", "40"], 1.5),

@@ -139,6 +139,20 @@ class TestSymDegreeNormalize:
 
 
 class TestSpectralRadius:
+    @pytest.mark.parametrize("stage", [ak.spectral_radius, ak.eigenvector_centrality],
+                             ids=["spectral_radius", "eigenvector_centrality"])
+    def test_peak_memory_is_vectors_not_a_copy_of_the_pattern(self, stage):
+        # The class search reads the frontier's block of A itself, so a dense A
+        # costs one block row and a few vectors: no N x N bool of m > 0.
+        a = ak.AffinityMatrix(np.random.default_rng(21).random((1000, 1000)))
+        tracemalloc.start()
+        try:
+            stage(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.02 * a.matrix.nbytes
+
     def test_zero_matrix(self):
         assert ak.spectral_radius(ak.AffinityMatrix(np.zeros((3, 3)))) == 0.0
 
