@@ -146,10 +146,13 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
     """Power iteration on m + cI with the edges between the blocks of ``labels``,
     unions of m's classes, dropped; c is a tenth of the block's largest row sum,
     so a bipartite block's mode at -rho decays by 9/11 per step at any scale.
-    For x > 0 (floored at 2^-600) and y = m x, hi = max y/x raised by (n + 2)
-    eps, and lo = max over blocks of min y_K/x_K; with ``rayleigh`` and m
-    symmetric, also of the blocks' Rayleigh quotients. Also returns a node of
-    the block whose bound is lo."""
+    Each step divides a class's x by its largest entry and floors it at 2^-600
+    of that entry, so x keeps its range whatever m's scale. For x > 0 and
+    y = m x, hi = max y/x raised by (n + 2) eps, and lo = max over blocks of
+    min y_K/x_K; with ``rayleigh`` and m symmetric, also of the blocks'
+    Rayleigh quotients. Also returns a node of the block whose bound is lo; a
+    :class:`NonConvergence` names a node of m's block whose bound is hi, and
+    that block's size."""
     n = m.shape[0]
     count = int(labels.max()) + 1
     if count > 1:
@@ -157,7 +160,7 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
     shift = np.zeros(count)
     np.maximum.at(shift, labels, m @ np.ones(n))
     shift = 0.1 * shift[labels]
-    x = np.full(n, 1.0 / math.sqrt(n))
+    x = np.ones(n)
     symmetric = False
     for step in range(max_iter):
         y = m @ x
@@ -165,8 +168,10 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
         hi = float(ratios.max()) * (1.0 + (n + 2) * 2.0**-52)
         low = np.full(count, np.inf)
         np.minimum.at(low, labels, ratios)
-        if step == 32:  # a bracket still open repays one transposed pass over m
-            symmetric = rayleigh and bool(np.array_equal(m, m.T))
+        if step == 32:  # a bracket still open repays one transposed pass over m, in 64 row blocks
+            rows = -(-n // 64)
+            symmetric = rayleigh and all(np.array_equal(m[i:i + rows], m[:, i:i + rows].T)
+                                         for i in range(0, n, rows))
         if symmetric:  # a zero class's floored x squares to 0: divide by the floor
             squares = np.maximum(np.bincount(labels, x * x, count), 2.0**-600)
             np.maximum(low, np.bincount(labels, x * y, count) / squares, out=low)
@@ -174,15 +179,14 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
         if hi - lo <= tol * hi:
             return x, lo, hi, int(np.argmax(labels == low.argmax()))
         x = shift * x + y
-        if count == 1:
-            x /= np.linalg.norm(x)
-        else:  # each class by its largest entry: a norm would square floored entries into 0
-            peak = np.full(count, 2.0**-600)
-            np.maximum.at(peak, labels, x)
-            x /= peak[labels]
+        peak = np.zeros(count)  # each class by its largest entry; a zero class by 1
+        np.maximum.at(peak, labels, x)
+        x /= np.where(peak > 0, peak, 1.0)[labels]
         x = np.maximum(x, 2.0**-600)
+    node = int(ratios.argmax())
     raise NonConvergence(f"power iteration did not converge within {max_iter} iterations: "
-                         f"rho in [{lo!r}, {hi!r}]")
+                         f"rho in [{lo!r}, {hi!r}]; hi is set by the class of node {node}, "
+                         f"{np.count_nonzero(labels == labels[node])} nodes")
 
 
 def _perron(m: np.ndarray, tol: float, max_iter: int,
@@ -191,9 +195,11 @@ def _perron(m: np.ndarray, tol: float, max_iter: int,
 
     rho(m) is the largest rho(m_KK) over the strongly connected classes K of
     m's pattern (Perron-Frobenius), so :func:`_power` runs on the classes and
-    each converges at its own gap. With ``vector``, x is m's unit Perron vector,
-    |(m x)_i - hi x_i| <= tol * hi * x_i: on a reducible m, 0 off the classes
-    that reach the top class, where the loop runs once more as one class.
+    each converges at its own gap. With ``vector``, x is m's Perron vector with
+    largest entry 1, |(m x)_i - hi x_i| <= tol * hi * x_i: on a reducible m, 0
+    off the classes that reach the top class, where the loop runs once more as
+    one class, on their rows and columns alone, which also number the node that
+    a :class:`NonConvergence` of that run names.
     """
     if m.min() < 0:
         raise NegativeEntries("power iteration requires nonnegative entries")

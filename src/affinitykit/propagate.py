@@ -85,11 +85,14 @@ def _horner(m: np.ndarray, alpha: float, start: np.ndarray, L: int) -> np.ndarra
 
     Each step is one product with m, and neither alpha m nor a power is
     formed: with start = I that is L matrix products, with start = 1 (the
-    row sums) L matrix-vector products.
+    row sums) L matrix-vector products. The step is a fixed map, so once X
+    repeats bit for bit every later step does too, and the loop stops there.
     """
     total = np.zeros_like(start)
     for _ in range(L):
-        total = alpha * (m @ (start + total))
+        previous, total = total, alpha * (m @ (start + total))
+        if np.array_equal(total, previous):
+            break
     return total
 
 
@@ -169,7 +172,7 @@ def eigenvector_centrality(
     values, _, hi = _perron(A.matrix, tol, max_iter, vector=True)
     if hi == 0:
         raise ZeroMatrix("rho(A) = 0, so A has no principal eigenvector")
-    return CentralityVector(values, eigenvalue=hi)
+    return CentralityVector(values / np.linalg.norm(values), eigenvalue=hi)
 
 
 def pagerank(

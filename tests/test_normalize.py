@@ -194,26 +194,60 @@ class TestSpectralRadius:
         with pytest.raises(ak.NonConvergence):
             ak.spectral_radius(ak.AffinityMatrix(m), max_iter=1)
 
+    def test_non_convergence_names_the_class_that_sets_hi(self):
+        # Classes {0, 1} (root 1.618) and {2, 3} (root 3.56): after one step
+        # hi = 4 comes from node 2, whose class has two nodes.
+        m = np.array([[1.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 3, 1], [0, 0, 2, 0.5]])
+        with pytest.raises(ak.NonConvergence, match=r"rho in \[2\.5, 4\.0\d*\]; "
+                           r"hi is set by the class of node 2, 2 nodes$"):
+            ak.spectral_radius(ak.AffinityMatrix(m), max_iter=1)
+        lo, hi, converged = bracket(m, max_iter=1)
+        assert not converged and lo == 2.5 and hi >= 4.0
+
+    def test_symmetry_probe_reads_row_blocks_not_an_n_by_n_bool(self):
+        # Two dense blocks joined by small weights: roots near 1206 and 800, so
+        # the bracket is still open at step 32, where A is compared with A^T.
+        rng = np.random.default_rng(5)
+        m = np.full((1000, 1000), 0.01)
+        m[:600, :600] = m[600:, 600:] = 1.0
+        m += 0.01 * rng.random(m.shape)
+        a = ak.AffinityMatrix(m + m.T)
+        with pytest.raises(ak.NonConvergence):
+            ak.spectral_radius(a, max_iter=32)
+        tracemalloc.start()
+        try:
+            rho = ak.spectral_radius(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * a.matrix.nbytes
+        assert np.linalg.eigvalsh(a.matrix).max() <= rho
+
 
 def perron_root(m: np.ndarray) -> float:
     """rho(m) as the largest eigenvalue modulus over its strongly connected blocks.
 
     Each block is irreducible, so its Perron root is a simple eigenvalue
     that eigvals finds to rounding; on a whole reducible matrix a defective
-    root can be off by about sqrt(eps).
+    root can be off by about sqrt(eps). m is first scaled by the power of two
+    that brings its largest entry into [0.5, 1), so a matrix drawn at 2^k times
+    another gets exactly 2^k times its root.
     """
+    exponent = math.frexp(float(m.max()))[1]
+    m = np.ldexp(m, -exponent)
     n = m.shape[0]
     reach = (m > 0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):
         reach = (reach.astype(int) @ reach.astype(int)) > 0
     blocks = {tuple(np.flatnonzero(reach[i] & reach[:, i])) for i in range(n)}
-    return max(float(np.abs(np.linalg.eigvals(m[np.ix_(b, b)])).max()) for b in blocks)
+    root = max(float(np.abs(np.linalg.eigvals(m[np.ix_(b, b)])).max()) for b in blocks)
+    return math.ldexp(root, exponent)
 
 
-def bracket(m: np.ndarray) -> tuple[float, float, bool]:
+def bracket(m: np.ndarray, max_iter: int = 1000) -> tuple[float, float, bool]:
     """(lo, hi, converged) of the Perron kernel, read from the error if it gives up."""
     try:
-        _, lo, hi = ak.normalize._perron(m, 1e-10, 1000)
+        _, lo, hi = ak.normalize._perron(m, 1e-10, max_iter)
         return lo, hi, True
     except ak.NonConvergence as exc:
         lo, hi = re.search(r"rho in \[(\S+), (\S+)\]", str(exc)).groups()
@@ -232,7 +266,7 @@ def nonnegative_matrices(draw):
     zero_row = draw(st.none() | st.integers(0, n - 1))
     if zero_row is not None:
         m[zero_row] = 0.0
-    return m * 2.0 ** draw(st.integers(-8, 4))
+    return m * 2.0 ** draw(st.integers(-996, 996))
 
 
 @st.composite
@@ -256,7 +290,7 @@ def top_reads_from_near_root(draw):
     m[0, k] = draw(weights)
     m[:2 * k, 2 * k:] = draw(arrays(np.float64, (2 * k, sinks), elements=st.just(0.0) | weights))
     order = np.array(draw(st.permutations(range(n))))
-    return m[np.ix_(order, order)] * 2.0 ** draw(st.integers(-8, 20))
+    return m[np.ix_(order, order)] * 2.0 ** draw(st.integers(-996, 996))
 
 
 class TestPerronBracket:
@@ -353,6 +387,39 @@ class TestPerronBracket:
         scaling = ak.choose_alpha(a, 0.9)
         assert scaling.rho >= np.linalg.eigvalsh(a.matrix).max()
         assert scaling.rho <= np.linalg.eigvalsh(a.matrix).max() * (1 + 1e-10)
+
+
+class TestPerronAtExtremeScales:
+    """The irreducible [[0, 1, 0], [1, 0, 2], [0, 2, 0]] * s, whose rho is exactly
+    sqrt(5) s (doubling is exact, also for the subnormal 1e-310). Each step
+    divides x by its largest entry, so x keeps its range whatever s is."""
+
+    base = np.array([[0.0, 1, 0], [1, 0, 2], [0, 2, 0]])
+    scales = [1e-310, 1e-300, 1e300, 1e307]
+    slack = 4 * 3 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("s", scales)
+    def test_spectral_radius(self, s):
+        hi = ak.spectral_radius(ak.AffinityMatrix(self.base * s)) / s
+        assert math.sqrt(5) * (1 - self.slack) <= hi <= math.sqrt(5) * (1 + 1e-10 + self.slack)
+
+    @pytest.mark.parametrize("s", scales[1:])
+    def test_choose_alpha(self, s):
+        scaling = ak.choose_alpha(ak.AffinityMatrix(self.base * s), 0.9)
+        assert scaling.alpha * s * math.sqrt(5) <= 0.9 * (1 + self.slack)
+
+    def test_choose_alpha_past_the_largest_float_is_refused(self):
+        # 0.9 / (sqrt(5) 1e-310) is above the largest float, so alpha is inf.
+        with pytest.raises(ak.ConvergenceBoundError, match="alpha \\* rho = inf"):
+            ak.choose_alpha(ak.AffinityMatrix(self.base * 1e-310), 0.9)
+
+    @pytest.mark.parametrize("s", scales)
+    def test_eigenvector_centrality(self, s):
+        cv = ak.eigenvector_centrality(ak.AffinityMatrix(self.base * s))
+        v, lam = cv.values, cv.eigenvalue / s
+        assert math.sqrt(5) * (1 - self.slack) <= lam <= math.sqrt(5) * (1 + 1e-10 + self.slack)
+        residual = np.abs(self.base @ v - lam * v)
+        assert np.all(residual <= 1e-10 * lam * v + self.slack * (self.base @ v + lam * v))
 
 
 class TestChooseAlpha:

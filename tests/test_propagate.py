@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -214,6 +216,26 @@ class TestPathScores:
         forged = ak.AlphaScaling(alpha=1.0, rho=0.0)
         with pytest.raises(ak.SingularSystem):
             scores(ak.AffinityMatrix(SWAP), forged)
+
+    def test_series_stops_at_its_first_exact_repeat(self):
+        # Each Horner step is a fixed map of t, so from the first step that
+        # repeats t bit for bit on, every step does: L = 10^12 ends there, in a
+        # child process so that a loop running all 10^12 steps fails by timeout.
+        child = (
+            "import numpy as np, affinitykit as ak\n"
+            "a = ak.AffinityMatrix(np.array(%r))\n"
+            "scaling = ak.choose_alpha(a, 0.9)\n"
+            "print(ak.path_scores(a, scaling, 10**12).tobytes().hex())\n"
+            "print(ak.power_series_truncated(a, scaling.alpha, 10**12).matrix.tobytes().hex())\n"
+        ) % CHAIN.tolist()
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                text=True, timeout=60, check=True)
+        a = ak.AffinityMatrix(CHAIN)
+        scaling = ak.choose_alpha(a, 0.9)
+        assert result.stdout.split() == [
+            ak.path_scores(a, scaling, 10**5).tobytes().hex(),
+            ak.power_series_truncated(a, scaling.alpha, 10**5).matrix.tobytes().hex(),
+        ]
 
     @pytest.mark.parametrize("scores", PATHS)
     def test_one_hop_is_weighted_degree(self, scores):
