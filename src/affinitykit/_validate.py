@@ -7,24 +7,26 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput
 
 
-def _as_array(value, name: str, ndim: int) -> np.ndarray:
+def _as_array(value, name: str, ndim: int) -> tuple[np.ndarray, float]:
+    """The non-empty finite float array, and the smallest entry its finiteness test read."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatch(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
     with np.errstate(invalid="ignore"):  # some numpy builds flag NaN in min/max
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        low = arr.min()
+        if not (np.isfinite(low) and np.isfinite(arr.max())):
             raise NonFiniteInput(f"{name} contains NaN or infinite entries")
-    return arr
+    return arr, low
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a non-empty finite 2-D float array."""
-    return _as_array(value, name, 2)
+    return _as_array(value, name, 2)[0]
 
 
 def as_vector(value, name: str = "vector") -> np.ndarray:
     """Coerce to a non-empty finite 1-D float array."""
-    return _as_array(value, name, 1)
+    return _as_array(value, name, 1)[0]
 
 
 def positive_int(value, message: str, error: type = ValueError, high: float = np.inf) -> int:

@@ -8,11 +8,12 @@ kernel, and the concatenation scorer used by graph attention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_matrix, as_vector
+from ._validate import _as_array, as_matrix, as_vector
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -66,7 +67,8 @@ class AffinityMatrix:
     and raise when the data violates them; ``False`` is stored unchecked.
     A float array is held as the caller's array, not a copy, so a flag holds
     only for the entries it was checked on: each stage that needs A >= 0
-    reads ``matrix.min()`` again instead of trusting ``nonnegative``.
+    reads ``matrix.min()`` again instead of trusting ``nonnegative``. The
+    sign flag is read from the minimum that the finiteness test read.
     """
 
     matrix: np.ndarray
@@ -74,12 +76,12 @@ class AffinityMatrix:
     zero_diagonal: bool | None = None
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, "affinity matrix")
+        m, low = _as_array(self.matrix, "affinity matrix", 2)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"affinity matrix must be square, got {m.shape}")
         if self.nonnegative is None:
-            object.__setattr__(self, "nonnegative", bool(m.min() >= 0))
-        elif self.nonnegative and m.min() < 0:
+            object.__setattr__(self, "nonnegative", bool(low >= 0))
+        elif self.nonnegative and low < 0:
             raise NegativeEntries("matrix flagged nonnegative has negative entries")
         diag = np.diagonal(m)
         if self.zero_diagonal is None:
@@ -176,8 +178,9 @@ def build_dot_product_affinity(Q, K, *, _checked: bool = False) -> AffinityMatri
 
     Returns an :class:`AffinityMatrix` when the result is square; a plain
     array otherwise (cross-attention, where queries and keys differ in
-    count), and always with ``_checked=True``. No guarantees are claimed
-    about sign or diagonal.
+    count), and always with ``_checked=True``, whose result is not scanned:
+    the attention loop scans its own output. No guarantees are claimed
+    about sign or diagonal; a product that overflows raises NonFiniteInput.
     """
     if not _checked:
         Q, K = as_matrix(Q, "Q"), as_matrix(K, "K")
@@ -185,9 +188,12 @@ def build_dot_product_affinity(Q, K, *, _checked: bool = False) -> AffinityMatri
         raise DimensionMismatch(
             f"inner dimensions differ: Q is {Q.shape}, K is {K.shape}"
         )
-    raw = Q @ K.T
-    if _checked or raw.shape[0] != raw.shape[1]:
-        return raw
+    if _checked:
+        return Q @ K.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the scan below finds an overflow
+        raw = Q @ K.T
+    if raw.shape[0] != raw.shape[1]:
+        return as_matrix(raw, "Q K^T")
     return AffinityMatrix(raw, nonnegative=False, zero_diagonal=False)
 
 
@@ -196,32 +202,39 @@ def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
 
     The diagonal is exactly 1 (self-similarity); entries lie in [0, 1],
     since far pairs underflow to 0 and a distance that overflows gets its
-    limit 0. Each unordered pair is computed once, in a C-ordered N x d
-    row buffer that is the only scratch beside the N x N result, and
-    summed over d in numpy's pairwise order whatever the layout of X:
-    the result is exactly symmetric, and permuting the rows of X
-    permutes it exactly.
+    limit 0 at any scale: beyond 2^+-256, distances and h are measured in
+    h's power of two, X divided by it before the rows are subtracted or each
+    difference divided by it after, so no scale of X or h raises. Each
+    unordered pair is computed once, in a C-ordered N x d row buffer that is
+    the only scratch beside the N x N result, and summed over d in numpy's
+    pairwise order whatever the layout of X: the result is exactly symmetric,
+    and permuting the rows of X permutes it exactly.
     """
     x = as_matrix(X, "X")
-    if not h > 0:
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {h}")
-    hh = h * h
-    if hh == 0:
-        raise NonPositiveBandwidth(f"bandwidth {h} is too small: h*h underflows to 0")
+    if not 0 < h < math.inf:
+        raise NonPositiveBandwidth(f"bandwidth must be positive and finite, got {h}")
+    g, e = math.frexp(h)  # h = g 2^e, g in [0.5, 1)
     n = x.shape[0]
     sq = np.empty((n, n))
     diff = np.empty(x.shape)
+    up = 0
     with np.errstate(over="ignore", under="ignore"):
+        # In 2^+-256 h*h is normal; a square's over- or underflow errs below an ulp of its weight.
+        # Dividing X cannot overflow; scaling a difference up, exact like the subtraction,
+        # overflows only where the weight is 0.
+        if e > 256:
+            x, h = np.ldexp(x, -e), g
+        elif e < -256:
+            up, h = -e, g
+        hh = h * h
         for i in range(n):
             rows = diff[: n - i]
             np.subtract(x[i:], x[i], out=rows)
+            if up:
+                np.ldexp(rows, up, out=rows)
             np.square(rows, out=rows)
             np.add.reduce(rows, axis=1, out=sq[i, i:])
             sq[i + 1:, i] = sq[i, i + 1:]
-        if hh == np.inf and sq.max() == np.inf:
-            raise NonFiniteInput(
-                f"squared distances and h*h (h = {h}) both overflow to inf; their ratio is undefined"
-            )
         np.divide(sq, -hh, out=sq)
         np.exp(sq, out=sq)
     return AffinityMatrix(sq, nonnegative=True, zero_diagonal=False)
@@ -239,6 +252,7 @@ def build_gat_scores(H, W, a, slope: float = 0.2) -> np.ndarray:
     Returns raw scores for every ordered pair; neighborhood masking is
     the normalizer's job. The scorer splits into a source and a target
     half, so the full matrix is one outer sum of two projected vectors.
+    A score that overflows raises NonFiniteInput.
     """
     H, W, a = as_matrix(H, "H"), as_matrix(W, "W"), as_vector(a, "a")
     if W.shape[0] != H.shape[1]:
@@ -252,5 +266,7 @@ def build_gat_scores(H, W, a, slope: float = 0.2) -> np.ndarray:
         )
     if not 0.0 < slope < 1.0:
         raise ValueError(f"LeakyReLU slope must lie in (0, 1), got {slope}")
-    projected = H @ W
-    return _leaky_outer(projected @ a[:f_out], projected @ a[f_out:], slope)
+    with np.errstate(over="ignore", invalid="ignore"):  # the scan below finds an overflow
+        projected = H @ W
+        scores = _leaky_outer(projected @ a[:f_out], projected @ a[f_out:], slope)
+    return as_matrix(scores, "GAT scores")

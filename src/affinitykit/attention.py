@@ -15,7 +15,8 @@ matrix is formed and each output row goes through the dense formula's
 operations; only the BLAS may round a block's products a few ulps apart
 from the full ones. Each entry point checks its arguments once and calls
 the stages with ``_checked=True``; an overflow shows in the output,
-which is scanned once instead of every block.
+which is scanned once instead of every block, and so is the array that an
+entry point returns after a last product or sum of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from ._validate import as_matrix, as_vector, positive_int
 from .affinity import _leaky_outer, build_dot_product_affinity
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch
 from .normalize import NeighborhoodMask, softmax_rows
 from .propagate import single_hop_aggregate
 
@@ -136,9 +137,7 @@ def _one_hop(rows: int, weights: Callable[[slice], np.ndarray], values: np.ndarr
     for start in range(0, rows, step):
         block = slice(start, start + step)
         out[block] = single_hop_aggregate(weights(block), values, _checked=True)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteInput("attention output is not finite: a score or weighted sum overflowed")
-    return out
+    return as_matrix(out, "attention output")
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: bool) -> np.ndarray:
@@ -181,10 +180,10 @@ def multi_head_attention(X, cfg: AttentionConfig, proj: ProjectionSet) -> np.nda
         raise DimensionMismatch(
             f"wout must be {cfg.heads * cfg.d_k} x {cfg.d_model}, got {proj.wout.shape}"
         )
-    return np.hstack([
+    return as_matrix(np.hstack([
         _attention(x @ wq, x @ wk, x @ wv, cfg.scale)
         for wq, wk, wv in zip(proj.wq, proj.wk, proj.wv)
-    ]) @ proj.wout
+    ]) @ proj.wout, "attention output")
 
 
 def non_local_block(
@@ -218,7 +217,7 @@ def non_local_block(
         y = y @ proj.wz
     if y.shape != x.shape:
         raise DimensionMismatch(f"residual add needs output shape {x.shape}, got {y.shape}")
-    return x + y
+    return as_matrix(x + y, "attention output")
 
 
 def _gat_layer(h: np.ndarray, params: GatParams, mask: NeighborhoodMask, activation) -> np.ndarray:
@@ -266,4 +265,4 @@ def multi_head_gat(
     outputs = [_gat_layer(h, p, mask, activation) for p in params]
     if mode == "concat":
         return np.hstack(outputs)
-    return np.mean(np.stack(outputs, axis=0), axis=0)
+    return as_matrix(np.mean(np.stack(outputs, axis=0), axis=0), "attention output")

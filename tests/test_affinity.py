@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -309,6 +308,13 @@ class TestDotProductAffinity:
         with pytest.raises(ak.DimensionMismatch):
             ak.build_dot_product_affinity(np.ones((2, 3)), np.ones((2, 4)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [(3, 4), (3, 3)], ids=["cross", "square"])
+    def test_overflowing_product_is_a_clean_error(self, rows):
+        q, k = (np.full((n, 2), 1e200) for n in rows)
+        with pytest.raises(ak.NonFiniteInput):
+            ak.build_dot_product_affinity(q, k)
+
 
 class TestGaussianAffinity:
     def test_unit_diagonal(self):
@@ -344,10 +350,19 @@ class TestGaussianAffinity:
         with pytest.raises(ak.NonPositiveBandwidth):
             ak.build_gaussian_affinity([[0.0], [1.0]], h)
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_bandwidth_must_be_finite(self, h):
+        with pytest.raises(ak.NonPositiveBandwidth, match="positive and finite"):
+            ak.build_gaussian_affinity([[0.0], [1.0]], h)
+
+    # h*h underflows to 0 for each of these; measured in h's power of two the
+    # distances 1, 2 and sqrt(5) are so far that every weight is 0. At 5e-324
+    # the scaled differences themselves, 2**1073 and more, overflow to inf.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("h", [1.4e-162, 1e-170, 5e-324])
-    def test_bandwidth_whose_square_underflows_is_rejected(self, h):
-        with pytest.raises(ak.NonPositiveBandwidth, match=re.escape(f"bandwidth {h} ")):
-            ak.build_gaussian_affinity([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], h)
+    def test_bandwidth_whose_square_underflows_gives_the_kernels_weights(self, h):
+        x = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]
+        assert_array_equal(ak.build_gaussian_affinity(x, h).matrix, np.eye(3))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [[[0.0], [1e200]], [[-1e308], [1e308]]],
@@ -355,10 +370,52 @@ class TestGaussianAffinity:
     def test_overflowing_distance_gets_weight_zero(self, x):
         assert_array_equal(ak.build_gaussian_affinity(x, 1.0).matrix, np.eye(2))
 
+    # Each squared distance and h*h overflow to inf, or underflow so far that
+    # their ratio was 0 or 1 (1.4e154 / 1e154 and 5e-163 / 1.6e-162): the true
+    # weights, to 1 ulp, from 200-bit arithmetic on the same doubles.
     @pytest.mark.filterwarnings("error")
-    def test_distance_and_bandwidth_both_overflowing_is_a_clean_error(self):
-        with pytest.raises(ak.NonFiniteInput, match="both overflow"):
-            ak.build_gaussian_affinity([[0.0], [1e200]], 1e200)
+    @pytest.mark.parametrize("x, h, weight", [(1e200, 1e200, math.exp(-1.0)),
+                                              (1e160, 1e160, math.exp(-1.0)),
+                                              (1.4e154, 1e154, 0.14085842092104503),
+                                              (5e-163, 1.6e-162, 0.9069606178873836)])
+    def test_distance_and_bandwidth_both_past_the_square_range_give_the_kernels_weight(
+            self, x, h, weight):
+        a = ak.build_gaussian_affinity([[0.0], [x]], h).matrix
+        assert_allclose(a, [[1.0, weight], [weight, 1.0]], rtol=2**-52, atol=0)
+
+    # X / h = 1e400 leaves the float range, but only a difference is scaled by
+    # h's power of two: a far pair overflows to weight 0, a coincident one is 1.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, expected", [([[0.0], [1e300]], np.eye(2)),
+                                             ([[1e300], [1e300]], np.ones((2, 2)))],
+                             ids=["far", "coincident"])
+    def test_x_over_h_past_the_float_range_gives_the_kernels_weights(self, x, expected):
+        assert_array_equal(ak.build_gaussian_affinity(x, 1e-100).matrix, expected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_three_four_five_triangle_has_the_same_bits_at_every_scale(self):
+        # k = -1070 puts 3 * 2**k among the subnormals; k = 1019 puts 5 * 2**k
+        # just below the largest double.
+        x = np.array([[0.0, 0.0], [3.0, 4.0]])
+        expected = ak.build_gaussian_affinity(x, 5.0).matrix
+        for k in range(-1070, 1020):
+            assert_array_equal(ak.build_gaussian_affinity(np.ldexp(x, k), math.ldexp(5.0, k)).matrix,
+                               expected, err_msg=f"k = {k}")
+
+    # Entries 0 or 2**-20 <= |x| <= 2**20 stay normal under any 2**k, |k| <= 1000,
+    # so every scaled input holds the same significands; outside 2**+-256 the
+    # builder measures them in h's power of two, inside it runs unscaled.
+    @pytest.mark.filterwarnings("error")
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+               st.lists(st.one_of(st.just(0.0), st.floats(2**-20, 2**20), st.floats(-2**20, -2**-20)),
+                        min_size=n, max_size=n), min_size=1, max_size=40)),
+           st.floats(0.5, 4.0), st.integers(-1000, 1000))
+    @settings(max_examples=200)
+    def test_scaling_x_and_h_by_a_power_of_two_changes_no_bit(self, rows, h, k):
+        x = np.array(rows).T
+        expected = ak.build_gaussian_affinity(x, h).matrix
+        scaled = ak.build_gaussian_affinity(np.ldexp(x, k), math.ldexp(h, k)).matrix
+        assert_array_equal(bits(scaled), bits(expected))
 
     def test_scratch_is_not_n_squared_times_d(self):
         # The N x N x d difference tensor alone would be 128 times the result;
@@ -425,6 +482,12 @@ class TestGatScores:
         with pytest.raises(ValueError):
             ak.build_gat_scores(np.ones((2, 1)), np.ones((1, 1)), np.ones(2), slope=1.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_projection_is_a_clean_error(self):
+        # W h_i overflows to inf, so a . [W h_i, W h_j] is inf - inf.
+        with pytest.raises(ak.NonFiniteInput, match="^GAT scores contains NaN or infinite entries$"):
+            ak.build_gat_scores(np.full((3, 2), 1e300), 1e10 * np.eye(2), [1.0, 1.0, -1.0, -1.0])
+
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
            st.integers(-150, 150), st.sampled_from([None, 0.0, -0.0]),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -451,3 +514,48 @@ class TestGatScores:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 512 * 512 * 8
+
+
+# Entries on a grid of 2**-10 in [-1024, 1024]: normal under any 2**k, |k| <= 996,
+# and a non-constant column's std stays normal too.
+def _grid_matrix(rows, cols):
+    entry = st.integers(-2**20, 2**20).map(lambda i: math.ldexp(i, -10))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows).map(np.array)
+
+
+def _finite_or_clean_error(build, *args):
+    """Call build(*args): it returns a finite array or raises NonFiniteInput."""
+    try:
+        out = np.asarray(build(*args))
+    except ak.NonFiniteInput:
+        return
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.filterwarnings("error")
+class TestEveryBuilderAtEveryScale:
+    """Each builder's inputs scaled by 2**k give a finite result or NonFiniteInput, with no warning.
+
+    The Gaussian's sweep, bit for bit, is in TestGaussianAffinity.
+    """
+
+    @given(st.integers(2, 8).flatmap(lambda n: _grid_matrix(n, 3)), st.integers(-996, 996),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=100)
+    def test_correlation_has_the_same_bits(self, data, k, beta):
+        names = ("a", "b", "c")
+        expected = ak.build_corr_affinity(ak.FeatureDataset(data, names), beta).matrix
+        scaled = ak.build_corr_affinity(ak.FeatureDataset(np.ldexp(data, k), names), beta).matrix
+        assert_array_equal(bits(scaled), bits(expected))
+
+    @given(st.integers(1, 5).flatmap(lambda n: _grid_matrix(n, 2)),
+           st.integers(1, 5).flatmap(lambda n: _grid_matrix(n, 2)), st.integers(-996, 996))
+    @settings(max_examples=100)
+    def test_dot_product_is_finite_or_a_clean_error(self, queries, keys, k):
+        _finite_or_clean_error(ak.build_dot_product_affinity, np.ldexp(queries, k), np.ldexp(keys, k))
+
+    @given(st.integers(1, 5).flatmap(lambda n: _grid_matrix(n, 2)), _grid_matrix(2, 2),
+           _grid_matrix(1, 4), st.integers(-996, 996))
+    @settings(max_examples=100)
+    def test_gat_scores_are_finite_or_a_clean_error(self, h, w, a, k):
+        _finite_or_clean_error(ak.build_gat_scores, np.ldexp(h, k), np.ldexp(w, k), np.ldexp(a[0], k))

@@ -412,6 +412,28 @@ def gat_params(f_in=4):
     return ak.GatParams(np.full((f_in, 2), 0.5), np.full((f_in, 2), 0.5), np.ones(4))
 
 
+# Past the last hop, each output is finite until an entry point's own last
+# product or sum: the output projection, wz, the residual add, the head average.
+HEADS_OF_EYE = tuple(np.eye(4)[:, 2 * i:2 * i + 2] for i in range(2))
+LAST_STEP_OVERFLOWS = {
+    "multi_head_attention-wout": (
+        lambda x: ak.multi_head_attention(
+            x, MHA_CFG, ak.ProjectionSet(HEADS_OF_EYE, HEADS_OF_EYE, HEADS_OF_EYE, np.full((4, 4), 1e308))),
+        np.ones((4, 4))),
+    **{f"non_local_block-{variant}-wz": (
+        lambda x, variant=variant: ak.non_local_block(
+            x, ak.NonLocalProjections(np.eye(4), np.eye(4), np.eye(4), np.full((4, 4), 1e308)), variant),
+        np.ones((4, 4))) for variant in ("embedded_gaussian", "dot_product")},
+    "non_local_block-residual": (
+        lambda x: ak.non_local_block(x, ak.NonLocalProjections(1e-300 * np.eye(4), 1e-300 * np.eye(4), np.eye(4))),
+        np.full((4, 4), 1e308)),
+    "multi_head_gat-average": (
+        lambda x: ak.multi_head_gat(x, [ak.GatParams(np.eye(4), np.eye(4), np.zeros(8))] * 2,
+                                    ak.NeighborhoodMask.full(4), mode="average"),
+        np.full((4, 4), 1e308)),
+}
+
+
 ENTRY_POINTS = {
     "attention": lambda x: ak.attention(x, x, x),
     "multi_head_attention": lambda x: ak.multi_head_attention(x, MHA_CFG, MHA_PROJ),
@@ -423,6 +445,7 @@ ENTRY_POINTS = {
 BOUNDARY_CASES = [
     *((f"{name}-nan", call, NAN_X, ak.NonFiniteInput) for name, call in ENTRY_POINTS.items()),
     *((f"{name}-overflow", call, HUGE_X, ak.NonFiniteInput) for name, call in ENTRY_POINTS.items()),
+    *((f"{name}-overflow", call, x, ak.NonFiniteInput) for name, (call, x) in LAST_STEP_OVERFLOWS.items()),
     ("attention-qk-width", lambda x: ak.attention(x, x[:, :3], x), BOUNDARY_X, ak.DimensionMismatch),
     ("non_local_block-theta-phi-width", lambda x: ak.non_local_block(x, NL_PROJ_MISMATCHED),
      BOUNDARY_X, ak.DimensionMismatch),
