@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from ._validate import _as_array, as_matrix, as_vector
 from .errors import (
     DimensionMismatch,
@@ -197,6 +198,14 @@ def build_dot_product_affinity(Q, K, *, _checked: bool = False) -> AffinityMatri
     return AffinityMatrix(raw, nonnegative=False, zero_diagonal=False)
 
 
+# The lower triangle is mirrored from the upper in strips of this many rows,
+# each its rows' block of the transpose: writing one column per row from two
+# threads would share cache lines.
+_MIRROR_ROWS = 64
+_BELOW = np.tri(_MIRROR_ROWS, k=-1, dtype=bool)
+
+
+@_pool.held()
 def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
     """Gaussian kernel A_ij = exp(-||x_i - x_j||^2 / h^2).
 
@@ -205,10 +214,12 @@ def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
     limit 0 at any scale: beyond 2^+-256, distances and h are measured in
     h's power of two, X divided by it before the rows are subtracted or each
     difference divided by it after, so no scale of X or h raises. Each
-    unordered pair is computed once, in a C-ordered N x d row buffer that is
-    the only scratch beside the N x N result, and summed over d in numpy's
-    pairwise order whatever the layout of X: the result is exactly symmetric,
-    and permuting the rows of X permutes it exactly.
+    unordered pair is computed once, in C-ordered row buffers that are the
+    only scratch beside the N x N result, one of ceil(N / width) rows for
+    each of the pool's workers, one N x d in all, and summed over d in
+    numpy's pairwise order whatever the layout of X: the result is exactly
+    symmetric, permuting the rows of X permutes it exactly, and the width
+    changes no bit.
     """
     x = as_matrix(X, "X")
     if not 0 < h < math.inf:
@@ -216,7 +227,8 @@ def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
     g, e = math.frexp(h)  # h = g 2^e, g in [0.5, 1)
     n = x.shape[0]
     sq = np.empty((n, n))
-    diff = np.empty(x.shape)
+    width = _pool.width()
+    strip = -(-n // width)  # rows in each worker's buffer
     up = 0
     with np.errstate(over="ignore", under="ignore"):
         # In 2^+-256 h*h is normal; a square's over- or underflow errs below an ulp of its weight.
@@ -227,14 +239,24 @@ def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
         elif e < -256:
             up, h = -e, g
         hh = h * h
-        for i in range(n):
-            rows = diff[: n - i]
-            np.subtract(x[i:], x[i], out=rows)
-            if up:
-                np.ldexp(rows, up, out=rows)
-            np.square(rows, out=rows)
-            np.add.reduce(rows, axis=1, out=sq[i, i:])
-            sq[i + 1:, i] = sq[i, i + 1:]
+
+        def upper(first):
+            """Row i of the upper triangle for every width-th row i from ``first``, a strip at a time."""
+            diff = np.empty((strip, x.shape[1]))
+            for i in range(first, n, width):
+                for start in range(i, n, strip):
+                    rows = diff[: min(strip, n - start)]
+                    np.subtract(x[start:start + strip], x[i], out=rows)
+                    if up:
+                        np.ldexp(rows, up, out=rows)
+                    np.square(rows, out=rows)
+                    np.add.reduce(rows, axis=1, out=sq[i, start:start + strip])
+        _pool.run(upper, range(width))
+        for start in range(0, n, _MIRROR_ROWS):
+            stop = min(start + _MIRROR_ROWS, n)
+            sq[start:stop, :start] = sq[:start, start:stop].T
+            block = sq[start:stop, start:stop]
+            np.copyto(block, block.T, where=_BELOW[: stop - start, : stop - start])
         np.divide(sq, -hh, out=sq)
         np.exp(sq, out=sq)
     return AffinityMatrix(sq, nonnegative=True, zero_diagonal=False)

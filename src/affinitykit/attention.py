@@ -17,6 +17,13 @@ from the full ones. Each entry point checks its arguments once and calls
 the stages with ``_checked=True``; an overflow shows in the output,
 which is scanned once instead of every block, and so is the array that an
 entry point returns after a last product or sum of its own.
+
+The blocks, the heads of multi-head attention and the non-local block's
+three projections run on ``_pool``'s two threads, each the same
+operations on the same partition as one thread would run, so the bits do
+not depend on the width. While an entry point runs it holds numpy's
+OpenBLAS at one thread, process-wide, and ignores overflow and invalid
+results, which the scan of its output reports.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+from . import _pool
 from ._validate import as_matrix, as_vector, positive_int
 from .affinity import _leaky_outer, build_dot_product_affinity
 from .errors import DimensionMismatch
@@ -134,9 +142,10 @@ def _one_hop(rows: int, weights: Callable[[slice], np.ndarray], values: np.ndarr
     into a rows x d output that is then scanned once for overflow."""
     out = np.empty((rows, values.shape[1]))
     step = max(1, _BLOCK_BYTES // (8 * values.shape[0]))
-    for start in range(0, rows, step):
+    def hop(start):
         block = slice(start, start + step)
         out[block] = single_hop_aggregate(weights(block), values, _checked=True)
+    _pool.run(hop, range(0, rows, step))
     return as_matrix(out, "attention output")
 
 
@@ -149,6 +158,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: bool) -> np.n
     return _one_hop(q.shape[0], weights, v)
 
 
+@_pool.held()
 def attention(Q, K, V, scale: bool = True) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) V, the scaled dot-product attention.
 
@@ -162,6 +172,7 @@ def attention(Q, K, V, scale: bool = True) -> np.ndarray:
     return _attention(q, k, v, scale)
 
 
+@_pool.held()
 def multi_head_attention(X, cfg: AttentionConfig, proj: ProjectionSet) -> np.ndarray:
     """Concatenated per-head attention followed by the output projection."""
     x = as_matrix(X, "X")
@@ -180,12 +191,14 @@ def multi_head_attention(X, cfg: AttentionConfig, proj: ProjectionSet) -> np.nda
         raise DimensionMismatch(
             f"wout must be {cfg.heads * cfg.d_k} x {cfg.d_model}, got {proj.wout.shape}"
         )
-    return as_matrix(np.hstack([
-        _attention(x @ wq, x @ wk, x @ wv, cfg.scale)
-        for wq, wk, wv in zip(proj.wq, proj.wk, proj.wv)
-    ]) @ proj.wout, "attention output")
+    def head(w):
+        wq, wk, wv = w
+        return _attention(x @ wq, x @ wk, x @ wv, cfg.scale)
+    return as_matrix(np.hstack(_pool.run(head, zip(proj.wq, proj.wk, proj.wv))) @ proj.wout,
+                     "attention output")
 
 
+@_pool.held()
 def non_local_block(
     X,
     proj: NonLocalProjections,
@@ -203,7 +216,7 @@ def non_local_block(
                             ("wg", proj.wg, x.shape[1]), ("wz", proj.wz, proj.wg.shape[1])):
         if mat is not None and mat.shape[0] != rows:
             raise DimensionMismatch(f"{name} must have {rows} rows, got {mat.shape[0]}")
-    theta, phi, g = x @ proj.wtheta, x @ proj.wphi, x @ proj.wg
+    theta, phi, g = _pool.run(x.__matmul__, (proj.wtheta, proj.wphi, proj.wg))
     if variant == "embedded_gaussian":
         y = _attention(theta, phi, g, scale=False)
     elif variant == "dot_product":
@@ -235,6 +248,7 @@ def _gat_layer(h: np.ndarray, params: GatParams, mask: NeighborhoodMask, activat
     return activation(out) if activation is not None else out
 
 
+@_pool.held()
 def gat_layer(
     H,
     params: GatParams,
@@ -249,6 +263,7 @@ def gat_layer(
     return _gat_layer(as_matrix(H, "H"), params, mask, activation)
 
 
+@_pool.held()
 def multi_head_gat(
     H,
     params: Sequence[GatParams],

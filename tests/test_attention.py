@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,21 @@ BOUNDARY_CASES = [
 def test_entry_point_rejects_bad_arguments(call, x, error):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
         call(x)
+
+
+OVERFLOW_CASES = [case for case in BOUNDARY_CASES if case[0].endswith("-overflow")]
+
+
+@pytest.mark.parametrize(
+    "call, x", [case[1:3] for case in OVERFLOW_CASES], ids=[case[0] for case in OVERFLOW_CASES]
+)
+def test_overflow_raises_without_a_warning(call, x):
+    # Under the caller's default error state: the hold around each entry point
+    # ignores the overflow, and the scan of its output raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ak.NonFiniteInput):
+            call(x)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))

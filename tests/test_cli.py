@@ -605,10 +605,12 @@ class TestErrorReporting:
     def test_overflowing_tokens_are_one_line_error(self, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("a,b\n1e308,1e308\n1e308,-1e308\n")
-        result = run_cli("attend", "--input", str(path))
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert len(result.stderr.strip().splitlines()) == 1
+        # Two heads run on the pool's worker threads, under the CLI's error state too.
+        for heads in ([], ["--heads", "2"]):
+            result = run_cli("attend", "--input", str(path), *heads)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert len(result.stderr.strip().splitlines()) == 1
 
     def test_memory_error_is_one_line_input_error(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
