@@ -1,20 +1,22 @@
 """Two threads for the independent units of one call, with OpenBLAS held at one thread.
 
-``run(fn, items)`` returns ``[fn(item) for item in items]``, computed on up
-to two worker threads: numpy releases the GIL in its loops and gemms, so
-the row blocks of an attention hop, its heads, or the row strips of the
-Gaussian run on both cores. Each task runs under the caller's numpy error
-state, which does not reach another thread by itself. A task that calls
-``run`` again runs its items inline, so nested units cannot wait on each
-other. The width is 1, and every call runs inline, where only one core is
-usable or numpy's bundled OpenBLAS exports no thread-count setter (MKL,
-Accelerate, an older wheel).
+``run(fn, items)`` returns ``[fn(item) for item in items]``, computed on two
+worker threads: numpy releases the GIL in its loops and gemms, so the row
+blocks of an attention hop, its heads, or the row strips of the Gaussian
+run on both cores. Each task runs under the caller's numpy error state,
+which does not reach another thread by itself. A task that calls ``run``
+again runs its items inline, so nested units cannot wait on each other.
+The pool is on only where it was measured: exactly two usable cores and
+numpy's bundled OpenBLAS with a thread-count setter. Elsewhere (one core,
+more than two, MKL, Accelerate, an older wheel) the width is 1 and every
+call runs inline, with OpenBLAS untouched.
 
-``held`` holds that OpenBLAS at one thread while a call runs, process-wide
-and re-entrant: a gemm left at two threads would contend with the other
-worker, and its threads spin-wait after each call on the core the pool
-needs. It also ignores overflow and invalid results, which each entry
-point finds when it scans its output. Nothing loads before the first call.
+``held`` holds that OpenBLAS at one thread while a call runs with the pool
+on, process-wide and re-entrant: a gemm left at two threads would contend
+with the other worker, and its threads spin-wait after each call on the
+core the pool needs. It also ignores overflow and invalid results, which
+each entry point finds when it scans its output. Nothing loads before the
+first call.
 """
 
 from __future__ import annotations
@@ -25,15 +27,17 @@ import threading
 
 import numpy as np
 
-# At most two workers: two 1 MB attention blocks in flight keep attention at
-# 2048 x 64 under 8 MB of scratch, and only two cores have been measured.
-_MAX_WIDTH = 2
+# Two workers on exactly two usable cores, the one machine shape measured;
+# two 1 MB attention blocks in flight keep attention at 2048 x 64 under 8 MB
+# of scratch.
+_CORES = 2
 _WIDTH = None  # worker threads per call, probed on first use
 _BLAS = None  # (get, set) of numpy's OpenBLAS thread count, or () without one
 _executor = None
 _lock = threading.Lock()
-_depth, _saved = 0, 0
-_local = threading.local()
+_depth = 0  # holds in flight, over all threads
+_saved = None  # (set, count) to restore when the last hold exits, or None
+_local = threading.local()  # this thread's holds, and whether it is a worker
 
 
 def _blas():
@@ -43,7 +47,7 @@ def _blas():
         import ctypes
         import glob
 
-        _BLAS = ()
+        found = ()  # published only when the probe is over
         libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
         for path in glob.glob(os.path.join(libs, "*scipy_openblas*")):
             try:
@@ -52,17 +56,18 @@ def _blas():
             except (OSError, AttributeError):
                 continue
             get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-            _BLAS = get, set_
+            found = get, set_
             break
+        _BLAS = found
     return _BLAS
 
 
 def width() -> int:
-    """Threads per call: one per usable core up to ``_MAX_WIDTH`` with the setter, else 1."""
+    """Threads per call: ``_CORES`` on exactly that many usable cores with the setter, else 1."""
     global _WIDTH
     if _WIDTH is None:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        _WIDTH = min(cores, _MAX_WIDTH) if _blas() else 1
+        _WIDTH = _CORES if cores == _CORES and _blas() else 1
     return _WIDTH
 
 
@@ -76,7 +81,7 @@ def run(fn, items) -> list:
         if _executor is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _executor = ThreadPoolExecutor(_MAX_WIDTH, thread_name_prefix="affinitykit")
+            _executor = ThreadPoolExecutor(_CORES, thread_name_prefix="affinitykit")
     state = np.geterr()
 
     def task(item):
@@ -90,30 +95,45 @@ def run(fn, items) -> list:
     return [future.result() for future in futures]
 
 
+def _restore():
+    """Give OpenBLAS back the count the first hold saved, if it saved one."""
+    global _saved
+    if _saved is not None:
+        _saved[0](_saved[1])
+        _saved = None
+
+
 @contextlib.contextmanager
 def held():
-    """OpenBLAS at one thread, and over/invalid ignored, until the outermost hold exits."""
+    """OpenBLAS at one thread with the pool on, and over/invalid ignored, until the last hold exits."""
     global _depth, _saved
-    blas = _blas()
     with _lock:
-        if _depth == 0 and blas:
-            _saved = blas[0]()
-            blas[1](1)
+        if _depth == 0:
+            blas = _blas() if width() > 1 else ()
+            if blas:
+                _saved = blas[1], blas[0]()
+                blas[1](1)
         _depth += 1
+    _local.depth = getattr(_local, "depth", 0) + 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     finally:
+        _local.depth -= 1
         with _lock:
             _depth -= 1
-            if _depth == 0 and blas:
-                blas[1](_saved)
+            if _depth == 0:
+                _restore()
 
 
 def _after_fork():
-    """A forked child has none of the parent's threads: build the executor anew."""
-    global _executor, _lock
+    """A forked child has only the forking thread: build the executor anew, and
+    count only that thread's holds, giving OpenBLAS back its count if none is left."""
+    global _executor, _lock, _depth
     _executor, _lock = None, threading.Lock()
+    _depth = getattr(_local, "depth", 0)
+    if _depth == 0:
+        _restore()
 
 
 if hasattr(os, "register_at_fork"):

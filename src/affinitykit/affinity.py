@@ -205,7 +205,6 @@ _MIRROR_ROWS = 64
 _BELOW = np.tri(_MIRROR_ROWS, k=-1, dtype=bool)
 
 
-@_pool.held()
 def build_gaussian_affinity(X, h: float) -> AffinityMatrix:
     """Gaussian kernel A_ij = exp(-||x_i - x_j||^2 / h^2).
 

@@ -19,11 +19,12 @@ which is scanned once instead of every block, and so is the array that an
 entry point returns after a last product or sum of its own.
 
 The blocks, the heads of multi-head attention and the non-local block's
-three projections run on ``_pool``'s two threads, each the same
-operations on the same partition as one thread would run, so the bits do
-not depend on the width. While an entry point runs it holds numpy's
-OpenBLAS at one thread, process-wide, and ignores overflow and invalid
-results, which the scan of its output reports.
+three projections run on ``_pool``'s two threads where exactly two cores
+are usable, each the same operations on the same partition as one thread
+would run, so the bits do not depend on the width. While an entry point
+runs it ignores overflow and invalid results, which the scan of its
+output reports, and, with the pool on, holds numpy's OpenBLAS at one
+thread, process-wide.
 """
 
 from __future__ import annotations

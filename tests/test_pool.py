@@ -1,6 +1,8 @@
 """The two-thread pool: the same bits at width 1 and 2, the OpenBLAS hold, and fork."""
 
+import glob
 import multiprocessing
+import os
 import sys
 import threading
 
@@ -86,16 +88,58 @@ def test_every_unit_is_done_when_one_raises(monkeypatch):
 
 
 @pytest.fixture
-def blas_threads():
-    """OpenBLAS's thread-count getter, the count set to 2 for the test."""
+def blas_threads(monkeypatch):
+    """OpenBLAS's thread-count getter, the count set to 2 and the pool on for the test."""
     blas = _pool._blas()
     if not blas:
         pytest.skip("numpy's OpenBLAS exports no thread-count setter")
     get, set_ = blas
+    monkeypatch.setattr(_pool, "_WIDTH", 2)
     saved = get()
     set_(2)
     yield get
     set_(saved)
+
+
+@pytest.mark.parametrize("cores, setter, expected", [
+    (1, True, 1), (2, True, 2), (3, True, 1), (16, True, 1), (2, False, 1),
+])
+def test_pool_is_on_only_on_two_cores_with_the_setter(cores, setter, expected, monkeypatch):
+    if setter and not _pool._blas():
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+    monkeypatch.setattr(_pool, "_WIDTH", None)
+    if not setter:
+        monkeypatch.setattr(_pool, "_BLAS", ())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert _pool.width() == expected
+
+
+def test_a_call_during_the_first_probe_sees_the_setter(monkeypatch):
+    # A second thread must not take the probe in progress for "no setter",
+    # which would turn the pool off for good.
+    if not _pool._blas():
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+    monkeypatch.setattr(_pool, "_BLAS", None)
+    monkeypatch.setattr(_pool, "_WIDTH", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    entered, release, real_glob = threading.Event(), threading.Event(), glob.glob
+
+    def slow_glob(pattern):
+        if not entered.is_set():
+            entered.set()
+            release.wait(10)
+        return real_glob(pattern)
+
+    monkeypatch.setattr(glob, "glob", slow_glob)
+    first = threading.Thread(target=_pool.width)
+    first.start()
+    try:
+        assert entered.wait(10)
+        assert _pool.width() == 2
+    finally:
+        release.set()
+        first.join(10)
+    assert _pool._BLAS and _pool.width() == 2
 
 
 def test_blas_is_held_at_one_thread_and_restored(blas_threads):
@@ -115,8 +159,19 @@ def test_blas_is_held_at_one_thread_and_restored(blas_threads):
         ak.attention(np.full((5, 4), 1e308), X[:5, :4], X[:5, :4])
     assert blas_threads() == 2
     with pytest.raises(ak.DimensionMismatch):
-        ak.build_gaussian_affinity(np.ones(3), 1.0)
+        ak.attention(X[:5, :4], X[:5, :3], X[:5, :4])
     assert blas_threads() == 2
+
+
+def test_blas_is_untouched_with_the_pool_off_and_by_the_gaussian(blas_threads, monkeypatch):
+    seen, real_run = [], _pool.run
+    record = lambda out: seen.append(blas_threads()) or out  # noqa: E731
+    monkeypatch.setattr(_pool, "_WIDTH", 1)
+    ak.gat_layer(X, GAT_HEADS[0], GAT_MASK, record)
+    monkeypatch.setattr(_pool, "_WIDTH", 2)
+    monkeypatch.setattr(_pool, "run", lambda fn, items: record(real_run(fn, items)))
+    ak.build_gaussian_affinity(GAUSS_X, 2.5)  # no gemm to hold
+    assert seen == [2, 2] and blas_threads() == 2
 
 
 def test_concurrent_callers_share_the_pool_and_the_hold(blas_threads, monkeypatch):
@@ -165,3 +220,69 @@ def test_child_forked_after_the_pool_ran_can_attend(monkeypatch):
         child.join()
         pytest.fail("the forked child hung in attention")
     assert child.exitcode == 0
+
+
+def hold_until(inside, release):
+    ak.gat_layer(X, GAT_HEADS[0], GAT_MASK, lambda out: inside.set() or release.wait(60) or out)
+
+
+def blas_restored_in_child(get):
+    assert get() == 2 and _pool._depth == 0
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_child_forked_during_another_threads_hold_gets_blas_back(blas_threads):
+    inside, release = threading.Event(), threading.Event()
+    holder = threading.Thread(target=hold_until, args=(inside, release))
+    holder.start()
+    try:
+        assert inside.wait(60) and blas_threads() == 1
+        child = multiprocessing.get_context("fork").Process(
+            target=blas_restored_in_child, args=(blas_threads,))
+        child.start()
+        child.join(60)
+    finally:
+        release.set()
+        holder.join(60)
+    assert child.exitcode == 0 and blas_threads() == 2
+
+
+class Forked(Exception):
+    """Unwinds the forked child out of the hold it was forked in."""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_child_forked_inside_a_hold_keeps_it_until_it_exits(blas_threads):
+    pids = []
+
+    def activation(out):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                held = blas_threads() == 1 and _pool._depth == 1
+            except BaseException:
+                os._exit(1)
+            raise Forked(held)
+        pids.append(pid)
+        return out
+
+    try:
+        ak.gat_layer(X, GAT_HEADS[0], GAT_MASK, activation)
+    except Forked as inside:  # the child only: report, and never return to the test runner
+        ok = False
+        try:
+            ok = inside.args[0] and blas_threads() == 2 and _pool._depth == 0
+        finally:
+            os._exit(0 if ok else 1)
+    for _ in range(600):
+        pid, status = os.waitpid(pids[0], os.WNOHANG)
+        if pid:
+            break
+        threading.Event().wait(0.1)
+    else:
+        os.kill(pids[0], 9)
+        os.waitpid(pids[0], 0)
+        pytest.fail("the forked child hung")
+    assert os.waitstatus_to_exitcode(status) == 0 and blas_threads() == 2
