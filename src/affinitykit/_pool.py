@@ -86,7 +86,7 @@ def run(fn, items) -> list:
 
     def task(item):
         _local.worker = True
-        with np.errstate(**state):
+        with np.errstate(**state):  # the caller's state, which a thread does not inherit
             return fn(item)
 
     futures = [_executor.submit(task, item) for item in items]
@@ -116,7 +116,7 @@ def held():
         _depth += 1
     _local.depth = getattr(_local, "depth", 0) + 1
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the entry point scans its output
             yield
     finally:
         _local.depth -= 1

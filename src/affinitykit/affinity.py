@@ -102,7 +102,7 @@ class AffinityMatrix:
 
 def _average_ranks(data: np.ndarray) -> np.ndarray:
     """Column-wise 1-based ranks; tied entries share the mean of their positions."""
-    order = np.argsort(data, axis=0, kind="stable")
+    order = np.argsort(data, axis=0)  # unstable: a tie group's mean position ignores the order inside it
     ordered = np.take_along_axis(data, order, axis=0)
     starts = np.ones(data.shape, dtype=bool)  # in sorted order: entry opens a tie group
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])

@@ -9,9 +9,9 @@ Subcommands:
 
 Reports go to stdout (or ``--output``); every error path prints exactly
 one diagnostic line to stderr and exits nonzero. Exit codes: 0 success,
-1 verification failure, 2 input error, 3 numeric error. JSON numbers use
-Python's shortest round-trip float representation, so emitted scores
-parse back to the exact double that was computed.
+1 verification failure, 2 input error, 3 numeric error, 130 interrupted.
+JSON numbers use Python's shortest round-trip float representation, so
+emitted scores parse back to the exact double that was computed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .affinity import FeatureDataset, build_corr_affinity
+from .affinity import FeatureDataset, build_corr_affinity, build_dot_product_affinity
 from .attention import AttentionConfig, ProjectionSet, multi_head_attention
 from .errors import (
     DivisibilityError,
@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for a run ended by Ctrl-C
 
 
 def _parse_cell(token: str, line: int, column: int) -> float:
@@ -268,7 +269,10 @@ def run_attend(args: argparse.Namespace) -> str:
     att_cfg = AttentionConfig(d_model=d_model, heads=args.heads, d_k=d_k, scale=True)
     proj = _seeded_projections(Lcg(args.seed), d_model, args.heads, d_k)
     output = multi_head_attention(x, att_cfg, proj)
-    head1_scores = scale_scores((x @ proj.wq[0]) @ (x @ proj.wk[0]).T, d_k)
+    # By the dot-product builder, whose scan raises where a product overflows: the heads
+    # give a key or score that overflows to -inf the weight 0, so their output can be finite.
+    q, k = (build_dot_product_affinity(x, w[0].T) for w in (proj.wq, proj.wk))
+    head1_scores = scale_scores(build_dot_product_affinity(q, k), d_k)
     payload = {
         "heads": args.heads,
         "d_model": d_model,
@@ -371,24 +375,25 @@ def _emit(report: str, output_path: str | None):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Overflow surfaces as a stage's own error line, never as a numpy warning on stderr.
-    with np.errstate(all="ignore"):
-        try:
-            if args.command == "verify":
-                report, passed, first_failure = run_verify(args)
-                _emit(report, args.output_path)
-                if not passed:
-                    print(f"verification failed: {first_failure}", file=sys.stderr)
-                    return EXIT_VERIFY_FAILED
-                return EXIT_OK
-            _emit(run_attend(args) if args.command == "attend" else run_rank(args), args.output_path)
+    try:
+        if args.command == "verify":
+            report, passed, first_failure = run_verify(args)
+            _emit(report, args.output_path)
+            if not passed:
+                print(f"verification failed: {first_failure}", file=sys.stderr)
+                return EXIT_VERIFY_FAILED
             return EXIT_OK
-        # A table too large for the N x N affinity is an input error, not a crash.
-        except (NumericError, InputError, ValueError, OSError, MemoryError) as exc:
-            # numpy.linalg raises a bare MemoryError(); the line still names the failure.
-            detail = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
-            print(f"error: {detail}", file=sys.stderr)
-            return EXIT_NUMERIC_ERROR if isinstance(exc, NumericError) else EXIT_INPUT_ERROR
+        _emit(run_attend(args) if args.command == "attend" else run_rank(args), args.output_path)
+        return EXIT_OK
+    # A table too large for the N x N affinity is an input error, not a crash.
+    except (NumericError, InputError, ValueError, OSError, MemoryError) as exc:
+        # numpy.linalg raises a bare MemoryError(); the line still names the failure.
+        detail = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
+        print(f"error: {detail}", file=sys.stderr)
+        return EXIT_NUMERIC_ERROR if isinstance(exc, NumericError) else EXIT_INPUT_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -73,7 +73,8 @@ class AlphaScaling:
 def softmax_rows(S, *, _checked: bool = False) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety."""
     scores = S if _checked else as_matrix(S, "scores")
-    weights = scores - scores.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a difference below -1.8e308 is -inf, whose exp is the limit 0
+        weights = scores - scores.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=1, keepdims=True)
     return weights

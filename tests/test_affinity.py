@@ -260,6 +260,18 @@ class TestAverageRanks:
         data = np.array(columns).T
         assert_array_equal(_average_ranks(data), rankdata(data, method="average", axis=0))
 
+    def test_same_bits_as_a_stable_sort_on_a_ties_heavy_table(self, monkeypatch):
+        # Values in {0, 1, 2}, half the zeros -0.0: long tie groups whose inner order
+        # the default sort does not keep.
+        rng = np.random.default_rng(13)
+        data = rng.integers(0, 3, size=(3000, 40)).astype(float)
+        data[(data == 0) & (rng.random(data.shape) < 0.5)] = -0.0
+        unstable = np.argsort
+        assert not np.array_equal(unstable(data, axis=0), unstable(data, axis=0, kind="stable"))
+        ranks = _average_ranks(data)
+        monkeypatch.setattr(np, "argsort", lambda a, axis, kind=None: unstable(a, axis=axis, kind="stable"))
+        assert ranks.tobytes() == _average_ranks(data).tobytes()
+
 
 def _std_columns(n):
     """One column of n entries from {0} and +-[1e-100, 1e100]."""

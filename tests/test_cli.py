@@ -46,11 +46,32 @@ def run_cli(*args, text=True):
     )
 
 
-def feature_table_csv(path: Path, samples: int, features: int, seed: int) -> Path:
-    """A seeded table of normal columns, every fifth column small integers with many ties."""
+def run_main(*argv):
+    """``main(argv)`` in this process with every warning an error: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_outcome(code, out, err):
+    """Exit 0 with an empty stderr, or exit 2 or 3 with no report and one stderr line."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (2, 3)
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+
+
+def feature_table_csv(path: Path, samples: int, features: int, seed: int, exponent: int = 0) -> Path:
+    """A seeded table of normal columns, every fifth column small integers with many ties,
+    scaled by 2**exponent."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((samples, features))
     data[:, ::5] = rng.integers(0, 7, size=(samples, len(range(0, features, 5))))
+    data = np.ldexp(data, exponent)
     lines = [",".join(f"f{j}" for j in range(features))]
     lines += [",".join(map(repr, row)) for row in data.tolist()]
     path.write_text("\n".join(lines) + "\n")
@@ -690,15 +711,117 @@ class TestNoTraceback:
                                                                no_header):
         fuzz_path.write_bytes(content)
         argv = [*command, "--input", str(fuzz_path)] + (["--no-header"] if no_header else [])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        if code == 0:
-            assert err.getvalue() == ""
-        else:
-            assert code in (2, 3)
-            assert out.getvalue() == ""
-            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+        assert_one_outcome(*run_main(*argv))
+
+
+# The three one-column tokens, seed 0, whose head-1 scores span +-1.2e308: the
+# softmax's row-max subtraction overflows, to a weight of exactly 0.
+SPAN_TOKENS = "a\n1.336306147288432e+155\n-1.336306147288432e+155\n6.68153073644216e+154\n"
+
+
+class TestNumpyErrorState:
+    def test_stages_run_under_numpys_default_error_state(self, monkeypatch):
+        seen, build = [], ak.cli.build_corr_affinity
+
+        def probe(*args):
+            seen.append(np.geterr())
+            return build(*args)
+
+        monkeypatch.setattr("affinitykit.cli.build_corr_affinity", probe)
+        assert run_main("rank", "--input", str(CORR_FIXTURE))[0] == 0
+        assert seen == [{"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}]
+
+    def test_scores_spanning_past_the_largest_double_give_the_exact_weights(self, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text(SPAN_TOKENS)
+        expected = {
+            "heads": 1, "d_model": 1, "seed": 0,
+            "weights_head1": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+            "output": [[-5.561298690933365e+151], [5.561298690933365e+151], [-5.561298690933365e+151]],
+        }
+        code, out, err = run_main("attend", "--heads", "1", "--seed", "0", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_head1_products_raise_where_they_overflow(self, tmp_path, monkeypatch):
+        # The heads give a key or score that overflows to -inf the weight 0, so their
+        # output can be finite; the head-1 report then raises where its product overflows.
+        monkeypatch.setattr("affinitykit.cli.multi_head_attention",
+                            lambda x, cfg, proj: np.zeros(x.shape))
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join([",".join(["c"] * 64)] + [",".join(["1.7e308"] * 64)] * 2) + "\n")
+        code, out, err = run_main("attend", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(" contains NaN or infinite entries\n")
+
+
+_SCALED_COMMANDS = [
+    ["rank"], ["rank", "--truncation", "40"], ["rank", "--method", "ec"],
+    ["rank", "--method", "pagerank"], ["rank", "--beta", "0"], ["rank", "--beta", "1"],
+    ["select", "--k", "2"],
+]
+
+
+class TestEveryCommandAtEveryScale:
+    """Every subcommand in process, every warning an error: exit 0 with an empty
+    stderr, or 2 or 3 with one line."""
+
+    @pytest.mark.parametrize("exponent", [-1070, -500, 0, 500, 1020])
+    @pytest.mark.parametrize("command", _SCALED_COMMANDS, ids=" ".join)
+    def test_rank_and_select(self, tmp_path, command, exponent):
+        path = feature_table_csv(tmp_path / "scaled.csv", 40, 6, seed=5, exponent=exponent)
+        code, out, err = run_main(*command, "--input", str(path))
+        assert_one_outcome(code, out, err)
+        if -1022 < exponent:  # an exact scaling leaves the ranks and spreads, so A, unchanged
+            unscaled = feature_table_csv(tmp_path / "unscaled.csv", 40, 6, seed=5)
+            assert (code, out) == run_main(*command, "--input", str(unscaled))[:2]
+
+    # SPAN_TOKENS at one head: TestNumpyErrorState, which also pins the bytes.
+    @pytest.mark.parametrize("tokens, argv, expected_code", [
+        # Head 1 of two at seed 3 spans +-1.17e308.
+        ("a,b\n1.8e155,0\n-1.8e155,0\n9e154,0\n", ["--heads", "2", "--seed", "3"], 0),
+        ("a,b\n1e308,1e308\n1e308,-1e308\n", ["--heads", "1"], 2),
+        ("a,b\n1e308,1e308\n1e308,-1e308\n", ["--heads", "2"], 2),
+        # A head-1 score overflows to -inf at seed 1; the output is finite.
+        ("a\n1e160\n1\n", ["--heads", "1", "--seed", "1"], 2),
+    ], ids=["span_2_heads", "overflow_1_head", "overflow_2_heads", "minus_inf_score"])
+    def test_attend(self, tmp_path, tokens, argv, expected_code):
+        path = tmp_path / "tokens.csv"
+        path.write_text(tokens)
+        code, out, err = run_main("attend", *argv, "--input", str(path))
+        assert code == expected_code
+        assert_one_outcome(code, out, err)
+
+    @pytest.mark.parametrize("fraction", ["0.5", "0.9", "0.995"])
+    def test_verify(self, fraction):
+        code, out, err = run_main("verify", "--alpha-fraction", fraction)
+        assert (code, err) == (0, "")
+        assert out.count("PASS") == len(out.splitlines())
+
+
+class TestInterrupt:
+    def test_interrupt_is_one_line_and_code_130(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("affinitykit.cli.build_corr_affinity", interrupted)
+        assert run_main("rank", "--input", str(CORR_FIXTURE)) == (130, "", "error: interrupted\n")
+
+    def test_sigint_inside_a_stage_of_a_child(self):
+        # The child signals itself from inside the stage, so no timing is involved.
+        script = (
+            "import signal, sys\n"
+            "from affinitykit import cli\n"
+            "build = cli.build_corr_affinity\n"
+            "def stage(*args):\n"
+            "    signal.raise_signal(signal.SIGINT)\n"
+            "    return build(*args)\n"
+            "cli.build_corr_affinity = stage\n"
+            f"sys.exit(cli.main(['rank', '--input', {str(CORR_FIXTURE)!r}]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (130, "", "error: interrupted\n")
 
 
 def _read_table_per_cell(path, header):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,13 @@ class TestSoftmaxRows:
     def test_non_finite_rejected(self):
         with pytest.raises(ak.NonFiniteInput):
             ak.softmax_rows([[0.0, np.nan]])
+
+    def test_a_difference_that_overflows_weighs_exactly_zero(self):
+        # -1e308 - 1e308 overflows to -inf, whose exp is the limit 0: no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ak.softmax_rows([[1e308, -1e308], [-1.2e308, 1.2e308]])
+        assert out.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestScaleScores:
