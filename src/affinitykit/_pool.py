@@ -15,8 +15,9 @@ call runs inline, with OpenBLAS untouched.
 on, process-wide and re-entrant: a gemm left at two threads would contend
 with the other worker, and its threads spin-wait after each call on the
 core the pool needs. It also ignores overflow and invalid results, which
-each entry point finds when it scans its output. Nothing loads before the
-first call.
+the attention family's scans find: ``single_hop_aggregate``'s scan of each
+hop's product, and an entry point's scan of an array it forms after the
+hop. Nothing loads before the first call.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def held():
         _depth += 1
     _local.depth = getattr(_local, "depth", 0) + 1
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the entry point scans its output
+        with np.errstate(over="ignore", invalid="ignore"):  # each hop and entry point scans what it forms
             yield
     finally:
         _local.depth -= 1

@@ -14,16 +14,18 @@ masked to each row's neighborhood. Rows are independent, so no N x N
 matrix is formed and each output row goes through the dense formula's
 operations; only the BLAS may round a block's products a few ulps apart
 from the full ones. Each entry point checks its arguments once and calls
-the stages with ``_checked=True``; an overflow shows in the output,
-which is scanned once instead of every block, and so is the array that an
-entry point returns after a last product or sum of its own.
+the score and softmax stages with ``_checked=True``, so a block's
+rows x N scores are not scanned: an overflow there shows in the block's
+rows x d product, which ``single_hop_aggregate`` scans as it forms it. An
+entry point also scans the array it returns after a last product or sum
+of its own, and what a caller's GAT ``activation`` returns.
 
 The blocks, the heads of multi-head attention and the non-local block's
 three projections run on ``_pool``'s two threads where exactly two cores
 are usable, each the same operations on the same partition as one thread
 would run, so the bits do not depend on the width. While an entry point
-runs it ignores overflow and invalid results, which the scan of its
-output reports, and, with the pool on, holds numpy's OpenBLAS at one
+runs it ignores overflow and invalid results, which those scans
+report, and, with the pool on, holds numpy's OpenBLAS at one
 thread, process-wide.
 """
 
@@ -140,14 +142,14 @@ _BLOCK_BYTES = 2**20
 
 def _one_hop(rows: int, weights: Callable[[slice], np.ndarray], values: np.ndarray) -> np.ndarray:
     """weights(b) @ values for each block b of rows with ``_BLOCK_BYTES`` of scores,
-    into a rows x d output that is then scanned once for overflow."""
+    into a rows x d output; :func:`single_hop_aggregate` scans each block's rows."""
     out = np.empty((rows, values.shape[1]))
     step = max(1, _BLOCK_BYTES // (8 * values.shape[0]))
     def hop(start):
         block = slice(start, start + step)
-        out[block] = single_hop_aggregate(weights(block), values, _checked=True)
+        out[block] = single_hop_aggregate(weights(block), values)
     _pool.run(hop, range(0, rows, step))
-    return as_matrix(out, "attention output")
+    return out
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: bool) -> np.ndarray:
@@ -246,7 +248,7 @@ def _gat_layer(h: np.ndarray, params: GatParams, mask: NeighborhoodMask, activat
         scores = _leaky_outer(source[block], target, params.slope)
         return softmax_rows(np.where(mask.allowed[block], scores, -np.inf), _checked=True)
     out = _one_hop(h.shape[0], weights, h @ params.wprime)
-    return activation(out) if activation is not None else out
+    return as_matrix(activation(out), "activation output") if activation is not None else out
 
 
 @_pool.held()

@@ -143,7 +143,7 @@ def _classes(m: np.ndarray) -> np.ndarray:
 
 
 def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
-           rayleigh: bool) -> tuple[np.ndarray, float, float, int]:
+           rayleigh: bool, nodes: np.ndarray | None = None) -> tuple[np.ndarray, float, float, int]:
     """Power iteration on m + cI with the edges between the blocks of ``labels``,
     unions of m's classes, dropped; c is a tenth of the block's largest row sum,
     so a bipartite block's mode at -rho decays by 9/11 per step at any scale.
@@ -152,8 +152,10 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
     y = m x, hi = max y/x raised by (n + 2) eps, and lo = max over blocks of
     min y_K/x_K; with ``rayleigh`` and m symmetric, also of the blocks'
     Rayleigh quotients. Also returns a node of the block whose bound is lo; a
-    :class:`NonConvergence` names a node of m's block whose bound is hi, and
-    that block's size."""
+    :class:`NonConvergence` names a node whose bound is hi, and its class's
+    size. With ``nodes``, m is the rows and columns ``nodes`` of the caller's
+    matrix, one block of the classes that reach its top class, and the node
+    is named by its number there."""
     n = m.shape[0]
     count = int(labels.max()) + 1
     if count > 1:
@@ -185,9 +187,10 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
         x /= np.where(peak > 0, peak, 1.0)[labels]
         x = np.maximum(x, 2.0**-600)
     node = int(ratios.argmax())
+    where = (f"the class of node {node}, {np.count_nonzero(labels == labels[node])} nodes"
+             if nodes is None else f"node {nodes[node]}, of the {n} nodes that reach the top class")
     raise NonConvergence(f"power iteration did not converge within {max_iter} iterations: "
-                         f"rho in [{lo!r}, {hi!r}]; hi is set by the class of node {node}, "
-                         f"{np.count_nonzero(labels == labels[node])} nodes")
+                         f"rho in [{lo!r}, {hi!r}]; hi is set by {where}")
 
 
 def _perron(m: np.ndarray, tol: float, max_iter: int,
@@ -199,8 +202,7 @@ def _perron(m: np.ndarray, tol: float, max_iter: int,
     each converges at its own gap. With ``vector``, x is m's Perron vector with
     largest entry 1, |(m x)_i - hi x_i| <= tol * hi * x_i: on a reducible m, 0
     off the classes that reach the top class, where the loop runs once more as
-    one class, on their rows and columns alone, which also number the node that
-    a :class:`NonConvergence` of that run names.
+    one block, on their rows and columns alone.
     """
     if m.min() < 0:
         raise NegativeEntries("power iteration requires nonnegative entries")
@@ -208,10 +210,10 @@ def _perron(m: np.ndarray, tol: float, max_iter: int,
     labels = _classes(m)
     x, lo, hi, top = _power(m, labels, tol, max_iter, not vector)
     if vector and labels.max() > 0 and hi > 0:
-        keep = _reach(m.T, top, np.zeros(len(m), dtype=bool))
+        keep = np.flatnonzero(_reach(m.T, top, np.zeros(len(m), dtype=bool)))
         x = np.zeros(len(m))
-        x[keep], lo, hi, _ = _power(m[np.ix_(keep, keep)], np.zeros(keep.sum(), dtype=int),
-                                    tol, max_iter, False)
+        x[keep], lo, hi, _ = _power(m[np.ix_(keep, keep)], np.zeros(len(keep), dtype=int),
+                                    tol, max_iter, False, keep)
     return x, lo, hi
 
 

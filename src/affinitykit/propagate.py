@@ -69,15 +69,26 @@ class CentralityVector:
         object.__setattr__(self, "values", vals)
 
 
-def single_hop_aggregate(W, V, *, _checked: bool = False) -> np.ndarray:
-    """One hop of weighted aggregation: Z = W V."""
-    if not _checked:
-        W, V = as_matrix(W, "W"), as_matrix(V, "V")
+def single_hop_aggregate(W, V) -> np.ndarray:
+    """One hop of weighted aggregation: Z = W V.
+
+    W and V are checked for shape alone, and Z is scanned: every entry of W
+    and of V is multiplied into some entry of Z, and a NaN or infinity stays
+    one through the sum (0 * inf is NaN), so that one scan of the small
+    product finds a non-finite factor as well as a product that overflows,
+    and raises :class:`NonFiniteInput` for either, with no warning.
+    """
+    W, V = np.asarray(W, dtype=float), np.asarray(V, dtype=float)
+    for name, factor in (("W", W), ("V", V)):
+        if factor.ndim != 2 or factor.size == 0:
+            raise DimensionMismatch(f"{name} must be a non-empty 2-D array, got shape {factor.shape}")
     if W.shape[1] != V.shape[0]:
         raise DimensionMismatch(
             f"W is {W.shape} but V has {V.shape[0]} rows"
         )
-    return W @ V
+    with np.errstate(over="ignore", invalid="ignore"):  # the scan of Z reports both
+        Z = W @ V
+    return as_matrix(Z, "product W V")
 
 
 def _horner(m: np.ndarray, alpha: float, start: np.ndarray, L: int) -> np.ndarray:

@@ -489,6 +489,30 @@ def test_overflow_raises_without_a_warning(call, x):
             call(x)
 
 
+GAT_EXP = ak.GatParams(np.eye(2), np.eye(2), np.zeros(4))
+ACTIVATED = {
+    "gat_layer": lambda x, f: ak.gat_layer(x, GAT_EXP, ak.NeighborhoodMask.full(3), activation=f),
+    **{f"multi_head_gat-{mode}": lambda x, f, mode=mode: ak.multi_head_gat(
+        x, [GAT_EXP] * 2, ak.NeighborhoodMask.full(3), mode, activation=f) for mode in ("concat", "average")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATED))
+def test_activation_is_scanned(name):
+    # Every hop's output is 800, finite; a caller's exp overflows it, and the
+    # scan of what the activation returns raises, with no warning. So does a
+    # return that is not a matrix.
+    x = np.full((3, 2), 800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        width = 4 if name.endswith("concat") else 2
+        assert_allclose(ACTIVATED[name](x, np.negative), np.full((3, width), -800.0), rtol=1e-15)
+        with pytest.raises(ak.NonFiniteInput):
+            ACTIVATED[name](x, np.exp)
+        with pytest.raises(ak.DimensionMismatch):
+            ACTIVATED[name](x, np.sum)
+
+
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_point_scans_no_square_matrix(name, monkeypatch):
     # N = 5 rows against width 4: only an N x N score or weight matrix is 5 x 5.

@@ -355,7 +355,8 @@ class TestPerronBracket:
         [[0.0, 1, 1], [1, 0, 1], [0, 0, 0]],  # a sink
         # rho = 2^-8: with a unit shift this would take thousands of steps
         [[0.0, 2.0**-8, 0], [2.0**-8, 0, 0], [0, 0, 0]],
-        # roots 0.4 and 0.386 in two blocks: min y/x closes too slowly, the Rayleigh quotient not
+        # roots 0.4 and 0.386 in two classes, each iterated on its own, so the
+        # near root does not hold the top class's min y/x open
         [[0.3, 0, 0, 0.2], [0, 0.386, 0, 0], [0, 0, 0, 0], [0.2, 0, 0, 0]],
         # rows 0, 1 and 3 sink to the floor first, where row 3's ratio settles at rho
         [[0, 1, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 4, 0, 0], [0, 6, 0, 0, 0], [0, 0, 0, 0, 4.2]],
@@ -374,6 +375,23 @@ class TestPerronBracket:
         # bracket open; a shift that scales with the matrix closes it.
         m = np.zeros((4, 4))
         m[[0, 1, 2], [1, 2, 3]] = m[[1, 2, 3], [0, 1, 2]] = np.array([50.0, 100.0, 150.0]) * scale
+        rho = np.linalg.eigvalsh(m).max()
+        hi = ak.spectral_radius(ak.AffinityMatrix(m))
+        assert rho * (1 - 1e-14) <= hi <= rho * (1 + 1e-10)
+
+    def test_rayleigh_quotient_closes_a_bipartite_forest_with_a_near_second_root(self):
+        # The 1744th of these seeded sparse symmetric draws: 11 nodes, 9 edges,
+        # no cycle, so the top class is bipartite, with lambda_2 / rho = 0.980
+        # and rho = 29.1257.
+        # min y/x leaves the bracket open after 1000 steps; the Rayleigh
+        # quotient of the symmetric matrix closes it.
+        rng = np.random.default_rng(12)
+        for _ in range(1744):
+            n = int(rng.integers(2, 41))
+            dens = rng.uniform(0.05, 0.4)
+            u = np.triu((rng.random((n, n)) < dens) * rng.random((n, n)), 1)
+            m = (u + u.T) * 10.0 ** rng.uniform(-6, 6)
+        assert n == 11 and np.count_nonzero(u) == 9
         rho = np.linalg.eigvalsh(m).max()
         hi = ak.spectral_radius(ak.AffinityMatrix(m))
         assert rho * (1 - 1e-14) <= hi <= rho * (1 + 1e-10)

@@ -223,7 +223,11 @@ def test_child_forked_after_the_pool_ran_can_attend(monkeypatch):
 
 
 def hold_until(inside, release):
-    ak.gat_layer(X, GAT_HEADS[0], GAT_MASK, lambda out: inside.set() or release.wait(60) or out)
+    def activation(out):
+        inside.set()
+        release.wait(60)
+        return out
+    ak.gat_layer(X, GAT_HEADS[0], GAT_MASK, activation)
 
 
 def blas_restored_in_child(get):

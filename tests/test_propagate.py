@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,43 @@ class TestSingleHopAggregate:
     def test_dimension_mismatch(self):
         with pytest.raises(ak.DimensionMismatch):
             ak.single_hop_aggregate(np.ones((2, 3)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("w, v", [(np.ones(3), np.ones((3, 2))), (np.ones((2, 3)), np.ones(3)),
+                                      (np.ones((0, 3)), np.ones((3, 2))), (np.ones((2, 0)), np.ones((0, 2))),
+                                      (np.ones((2, 3)), np.ones((3, 0)))])
+    def test_factor_that_is_not_a_non_empty_matrix_is_rejected(self, w, v):
+        with pytest.raises(ak.DimensionMismatch, match="must be a non-empty 2-D array"):
+            ak.single_hop_aggregate(w, v)
+
+    def test_product_that_overflows_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ak.NonFiniteInput, match="^product W V contains NaN or infinite entries$"):
+                ak.single_hop_aggregate(np.full((4, 4), 1e308), np.full((4, 4), 1e308))
+
+    # Shapes that numpy sends down different paths: gemm, gemv either way, a dot product.
+    @pytest.mark.parametrize("rows, inner, cols", [(3, 4, 2), (3, 4, 1), (1, 4, 3), (1, 4, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("zeroed", [False, True])
+    def test_every_non_finite_factor_entry_is_found(self, rows, inner, cols, bad, zeroed):
+        # The scan reads only Z = W V, so each bad entry must reach Z, also
+        # where it meets only zeros in the other factor (0 * inf is NaN).
+        rng = np.random.default_rng(rows * 100 + inner * 10 + cols)
+        for target in ("W", "V"):
+            for index in np.ndindex((rows, inner) if target == "W" else (inner, cols)):
+                w, v = rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
+                if target == "W":
+                    w[index] = bad
+                    if zeroed:
+                        v[index[1]] = 0.0
+                else:
+                    v[index] = bad
+                    if zeroed:
+                        w[:, index[0]] = 0.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ak.NonFiniteInput):
+                        ak.single_hop_aggregate(w, v)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_stacking_equals_squared_weights(self, seed):
@@ -299,6 +337,14 @@ class TestEigenvectorCentrality:
     def test_negative_entries_rejected(self):
         with pytest.raises(ak.NegativeEntries):
             ak.eigenvector_centrality(ak.AffinityMatrix(-np.eye(2)))
+
+    def test_non_convergence_names_the_node_of_a(self):
+        # Node 0 is an isolated sink. Nodes 1, 2 and 3 reach the top class
+        # {2, 3}; the vector's run on their rows leaves hi at node 1's ratio 1.5.
+        a = ak.AffinityMatrix(np.array([[0, 0, 0, 0], [0, 0.5, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0.0]]))
+        with pytest.raises(ak.NonConvergence, match=r"rho in \[1\.0, 1\.5\d*\]; hi is set by "
+                           r"node 1, of the 3 nodes that reach the top class$"):
+            ak.eigenvector_centrality(a, max_iter=1)
 
 
 class TestPagerank:
