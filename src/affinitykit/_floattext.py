@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._validate import block_rows
+
 _U = np.uint64
 _M32 = _U(0xFFFF_FFFF)
 _M63 = _U(0x7FFF_FFFF_FFFF_FFFF)
@@ -36,7 +38,10 @@ _B32, _B63 = _U(32), _U(63)
 _ONE, _TWO, _TEN = _U(1), _U(2), _U(10)
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of the scaled powers of ten
-_BLOCK_VALUES = 1 << 15  # values per block of rows: 2 MB of templates
+# Bytes of each uint64 temporary of a block of rows, whose templates take eight
+# times as many: 64 KiB, below glibc's 128 KiB mmap threshold, so the temporaries
+# are reused from the heap rather than mapped, faulted in and unmapped per block.
+_BLOCK_BYTES = 1 << 16
 
 _INDENT = b"\n      "
 _ITEM_SEP = b"," + _INDENT  # between two values of a row
@@ -245,7 +250,7 @@ def matrix_text(matrix: np.ndarray) -> str:
     """``json.dumps(matrix.tolist(), indent=2)`` as nested one level deep, for a
     matrix with at least one row and one column."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    step = max(1, _BLOCK_VALUES // matrix.shape[1])
+    step = block_rows(matrix.shape[1], _BLOCK_BYTES)
     pieces = [_OPEN]
     for start in range(0, matrix.shape[0], step):
         pieces.append(_block_bytes(matrix[start:start + step]).decode("ascii"))

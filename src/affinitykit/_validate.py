@@ -1,4 +1,4 @@
-"""Shared argument validation helpers."""
+"""Shared argument validation helpers, and the rows per block of the blocked passes."""
 
 from __future__ import annotations
 
@@ -7,11 +7,17 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput
 
 
-def _as_array(value, name: str, ndim: int) -> tuple[np.ndarray, float]:
-    """The non-empty finite float array, and the smallest entry its finiteness test read."""
+def shaped(value, name: str, ndim: int = 2) -> np.ndarray:
+    """Coerce to a non-empty ``ndim``-D float array, its entries unread."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim or arr.size == 0:
         raise DimensionMismatch(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
+    return arr
+
+
+def _as_array(value, name: str, ndim: int) -> tuple[np.ndarray, float]:
+    """The non-empty finite float array, and the smallest entry its finiteness test read."""
+    arr = shaped(value, name, ndim)
     with np.errstate(invalid="ignore"):  # some numpy builds flag NaN in min/max
         low = arr.min()
         if not (np.isfinite(low) and np.isfinite(arr.max())):
@@ -27,6 +33,11 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
 def as_vector(value, name: str = "vector") -> np.ndarray:
     """Coerce to a non-empty finite 1-D float array."""
     return _as_array(value, name, 1)[0]
+
+
+def block_rows(width: int, budget: int) -> int:
+    """Rows of ``width`` 8-byte values that fit in ``budget`` bytes, and at least one."""
+    return max(1, budget // (8 * max(1, width)))
 
 
 def positive_int(value, message: str, error: type = ValueError, high: float = np.inf) -> int:

@@ -180,7 +180,7 @@ def build_dot_product_affinity(Q, K, *, _checked: bool = False) -> AffinityMatri
     Returns an :class:`AffinityMatrix` when the result is square; a plain
     array otherwise (cross-attention, where queries and keys differ in
     count), and always with ``_checked=True``, whose result is not scanned:
-    the attention loop scans its own output. No guarantees are claimed
+    the attention loop's softmax or product finds an overflow. No guarantees are claimed
     about sign or diagonal; a product that overflows raises NonFiniteInput.
     """
     if not _checked:

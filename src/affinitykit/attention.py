@@ -14,11 +14,14 @@ masked to each row's neighborhood. Rows are independent, so no N x N
 matrix is formed and each output row goes through the dense formula's
 operations; only the BLAS may round a block's products a few ulps apart
 from the full ones. Each entry point checks its arguments once and calls
-the score and softmax stages with ``_checked=True``, so a block's
-rows x N scores are not scanned: an overflow there shows in the block's
-rows x d product, which ``single_hop_aggregate`` scans as it forms it. An
-entry point also scans the array it returns after a last product or sum
-of its own, and what a caller's GAT ``activation`` returns.
+the score stage with ``_checked=True``, so a block's rows x N scores are
+not scanned. ``softmax_rows`` reads them through its row sums, which are
+NaN exactly where a score is NaN or +inf; a -inf score, as GAT's mask
+makes, weighs 0. The non-local dot-product variant has no softmax, and an
+overflow in its scores shows in the block's rows x d product, which
+``single_hop_aggregate`` scans as it forms it. An entry point also scans
+the array it returns after a last product or sum of its own, and what a
+caller's GAT ``activation`` returns.
 
 The blocks, the heads of multi-head attention and the non-local block's
 three projections run on ``_pool``'s two threads where exactly two cores
@@ -38,7 +41,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import _pool
-from ._validate import as_matrix, as_vector, positive_int
+from ._validate import as_matrix, as_vector, block_rows, positive_int
 from .affinity import _leaky_outer, build_dot_product_affinity
 from .errors import DimensionMismatch
 from .normalize import NeighborhoodMask, softmax_rows
@@ -144,7 +147,7 @@ def _one_hop(rows: int, weights: Callable[[slice], np.ndarray], values: np.ndarr
     """weights(b) @ values for each block b of rows with ``_BLOCK_BYTES`` of scores,
     into a rows x d output; :func:`single_hop_aggregate` scans each block's rows."""
     out = np.empty((rows, values.shape[1]))
-    step = max(1, _BLOCK_BYTES // (8 * values.shape[0]))
+    step = block_rows(values.shape[0], _BLOCK_BYTES)
     def hop(start):
         block = slice(start, start + step)
         out[block] = single_hop_aggregate(weights(block), values)
@@ -157,7 +160,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: bool) -> np.n
         scores = build_dot_product_affinity(q[block], k, _checked=True)
         if scale:
             scores /= math.sqrt(q.shape[1])
-        return softmax_rows(scores, _checked=True)
+        return softmax_rows(scores)
     return _one_hop(q.shape[0], weights, v)
 
 
@@ -246,7 +249,7 @@ def _gat_layer(h: np.ndarray, params: GatParams, mask: NeighborhoodMask, activat
     source, target = projected @ params.a[:f_out], projected @ params.a[f_out:]
     def weights(block):
         scores = _leaky_outer(source[block], target, params.slope)
-        return softmax_rows(np.where(mask.allowed[block], scores, -np.inf), _checked=True)
+        return softmax_rows(np.where(mask.allowed[block], scores, -np.inf))
     out = _one_hop(h.shape[0], weights, h @ params.wprime)
     return as_matrix(activation(out), "activation output") if activation is not None else out
 

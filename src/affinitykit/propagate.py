@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._validate import as_matrix, iteration_count, positive_int
+from ._validate import as_matrix, iteration_count, positive_int, shaped
 from .affinity import AffinityMatrix
 from .errors import (
     DimensionMismatch,
@@ -78,10 +78,7 @@ def single_hop_aggregate(W, V) -> np.ndarray:
     product finds a non-finite factor as well as a product that overflows,
     and raises :class:`NonFiniteInput` for either, with no warning.
     """
-    W, V = np.asarray(W, dtype=float), np.asarray(V, dtype=float)
-    for name, factor in (("W", W), ("V", V)):
-        if factor.ndim != 2 or factor.size == 0:
-            raise DimensionMismatch(f"{name} must be a non-empty 2-D array, got shape {factor.shape}")
+    W, V = shaped(W, "W"), shaped(V, "V")
     if W.shape[1] != V.shape[0]:
         raise DimensionMismatch(
             f"W is {W.shape} but V has {V.shape[0]} rows"

@@ -489,6 +489,25 @@ def test_overflow_raises_without_a_warning(call, x):
             call(x)
 
 
+# Each scores a pair +inf inside its hop, from finite arguments and finite projections.
+PLUS_INF_SCORES = {
+    "attention": lambda: ak.attention(np.full((3, 2), 1e200), np.full((3, 2), 1e200), np.ones((3, 2))),
+    "gat_layer": lambda: ak.gat_layer(np.full((3, 2), 1e308), ak.GatParams(np.eye(2), np.eye(2), [1.0, 0, 0, 1]),
+                                      ak.NeighborhoodMask.full(3)),
+    **{f"non_local_block-{variant}": lambda variant=variant: ak.non_local_block(
+        np.full((3, 2), 1e200), ak.NonLocalProjections(np.eye(2), np.eye(2), np.eye(2)), variant)
+       for variant in ("embedded_gaussian", "dot_product")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLUS_INF_SCORES))
+def test_a_plus_inf_score_in_the_hop_raises_without_a_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ak.NonFiniteInput):
+            PLUS_INF_SCORES[name]()
+
+
 GAT_EXP = ak.GatParams(np.eye(2), np.eye(2), np.zeros(4))
 ACTIVATED = {
     "gat_layer": lambda x, f: ak.gat_layer(x, GAT_EXP, ak.NeighborhoodMask.full(3), activation=f),

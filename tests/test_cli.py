@@ -755,11 +755,12 @@ class TestNumpyErrorState:
         assert err.startswith("error: ") and err.endswith(" contains NaN or infinite entries\n")
 
     def test_a_score_that_overflows_in_a_head_is_named_by_the_hop(self, tmp_path):
-        # q k^T overflows in head 1's hop, and the scan of its product W V raises.
+        # q k^T overflows to +inf in head 1's hop, and the softmax's row sums raise.
         path = tmp_path / "scores.csv"
         path.write_text("a,b\n1e160,1e160\n-1e160,2e160\n5e159,1e160\n")
         code, out, err = run_main("attend", "--heads", "1", "--seed", "0", "--input", str(path))
-        assert (code, out, err) == (2, "", "error: product W V contains NaN or infinite entries\n")
+        assert (code, out, err) == (
+            2, "", "error: softmax scores contain NaN, +inf or a row with no finite entry\n")
 
 
 _SCALED_COMMANDS = [

@@ -59,6 +59,35 @@ class TestSoftmaxRows:
             out = ak.softmax_rows([[1e308, -1e308], [-1.2e308, 1.2e308]])
         assert out.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_minus_inf_score_weighs_exactly_zero(self, position):
+        # The finite weights are those of the row without the -inf, bit for bit.
+        row = [0.25, -1.5]
+        scores = [row[:position] + [-np.inf] + row[position:], [3.0, 3.0, 3.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ak.softmax_rows(scores)
+        assert out[0, position] == 0.0
+        assert np.delete(out[0], position).tobytes() == ak.softmax_rows([row])[0].tobytes()
+        assert out[1].tobytes() == ak.softmax_rows([[3.0, 3.0, 3.0]])[0].tobytes()
+
+    @pytest.mark.parametrize("scores", [
+        [[np.nan, 0.0], [1.0, 2.0]], [[0.0, 1.0], [2.0, np.nan]], [[np.inf, 0.0], [1.0, 2.0]],
+        [[0.0, 1.0], [-np.inf, np.inf]], [[0.0, 1.0], [-np.inf, -np.inf]], [[-np.inf]],
+        [[np.nan, -np.inf]],
+    ], ids=["nan", "nan-last", "inf", "inf-beside-minus-inf", "only-minus-inf", "one-minus-inf",
+            "nan-beside-minus-inf"])
+    def test_nan_plus_inf_or_no_finite_entry_raises_without_a_warning(self, scores):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ak.NonFiniteInput):
+                ak.softmax_rows(scores)
+
+    @pytest.mark.parametrize("scores", [[], [1.0, 2.0], [[[1.0]]], np.ones((0, 3))])
+    def test_not_a_non_empty_matrix(self, scores):
+        with pytest.raises(ak.DimensionMismatch):
+            ak.softmax_rows(scores)
+
 
 class TestScaleScores:
     def test_unit_dimension_is_identity(self):
@@ -113,6 +142,28 @@ class TestMaskedSoftmax:
         with pytest.raises(ak.DimensionMismatch):
             ak.masked_softmax_rows(np.ones((3, 3)), ak.NeighborhoodMask.full(2))
 
+    @pytest.mark.parametrize("hidden", [np.nan, np.inf, -np.inf])
+    def test_masked_out_entries_are_not_read(self, hidden):
+        rng = np.random.default_rng(3)
+        scores = rng.normal(size=(6, 6)) * 10
+        allowed = rng.random((6, 6)) < 0.5
+        allowed[:, 2] = True
+        mask = ak.NeighborhoodMask(allowed)
+        clean = np.where(allowed, scores, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ak.masked_softmax_rows(np.where(allowed, scores, hidden), mask)
+        assert out.tobytes() == ak.masked_softmax_rows(clean, mask).tobytes()
+
+    @pytest.mark.parametrize("hidden", [np.nan, np.inf])
+    def test_an_allowed_nan_or_plus_inf_raises(self, hidden):
+        scores = np.zeros((3, 3))
+        scores[1, 1] = hidden
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ak.NonFiniteInput):
+                ak.masked_softmax_rows(scores, ak.NeighborhoodMask.full(3))
+
 
 class TestSymDegreeNormalize:
     def test_all_ones(self):
@@ -132,7 +183,8 @@ class TestSymDegreeNormalize:
             ak.sym_degree_normalize(ak.AffinityMatrix(np.array([[0.0, 0.0], [1.0, 0.0]])))
 
     def test_result_is_formed_in_one_buffer_with_the_formulas_bits(self):
-        # About 1.05 times the result: sqrt(d_i d_j) is taken and divided in place.
+        # About 1.4 times the result at N = 600: the quotient is formed in the
+        # result's buffer, 1 MiB of sqrt(d_i d_j) at a time.
         m = np.random.default_rng(5).random((600, 600))
         a = ak.AffinityMatrix(m + m.T)
         tracemalloc.start()
@@ -144,6 +196,49 @@ class TestSymDegreeNormalize:
         degrees = a.matrix.sum(axis=1)
         assert out.tobytes() == (a.matrix / np.sqrt(np.outer(degrees, degrees))).tobytes()
         assert peak <= 1.5 * out.nbytes
+
+    @pytest.mark.parametrize("exponent", [-1070, -500, 0, 500, 1020])
+    def test_any_scale(self, exponent):
+        # Entries on a 2^-10 grid in (0, 1]: scaled by 2^exponent, the degrees and
+        # their products leave the doubles at the two ends. A normal scaling is
+        # exact, so it gives the bits of the unscaled matrix.
+        rng = np.random.default_rng(9)
+        m = rng.integers(1, 1025, size=(7, 7)) / 1024.0
+        m = m + m.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ak.sym_degree_normalize(ak.AffinityMatrix(np.ldexp(m, exponent)))
+            unscaled = ak.sym_degree_normalize(ak.AffinityMatrix(m))
+        assert np.isfinite(out).all()
+        if exponent > -1022:
+            assert out.tobytes() == unscaled.tobytes()
+
+    def test_degrees_far_apart_keep_the_formulas_bits(self):
+        # Degrees 1e100 and 2e-100: their products fit the doubles, though the
+        # small one is far below the largest entry's scale.
+        m = np.array([[1e100, 1e-100], [1e-100, 1e-100]])
+        degrees = m.sum(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ak.sym_degree_normalize(ak.AffinityMatrix(m))
+        assert out.tobytes() == (m / np.sqrt(np.outer(degrees, degrees))).tobytes()
+        assert out[1, 1] == 0.5
+
+    @pytest.mark.parametrize("diagonal", [[1e300, 1e-30], [1.0, 1e-170, 1e-170], [5e-324, 1e308]])
+    def test_a_diagonal_of_any_spread_is_the_identity(self, diagonal):
+        # A product of two of these degrees, or the small ones measured in the
+        # largest entry's scale, leaves the doubles.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ak.sym_degree_normalize(ak.AffinityMatrix(np.diag(diagonal)))
+        assert out.tolist() == np.eye(len(diagonal)).tolist()
+
+    @pytest.mark.parametrize("value", [1e308, 1e-320, 5e-324])
+    def test_constant_matrix_at_the_extremes(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ak.sym_degree_normalize(ak.AffinityMatrix(np.full((4, 4), value)))
+        assert out.tolist() == [[0.25] * 4] * 4
 
 
 class TestSpectralRadius:
@@ -230,6 +325,63 @@ class TestSpectralRadius:
             tracemalloc.stop()
         assert peak <= 0.05 * a.matrix.nbytes
         assert np.linalg.eigvalsh(a.matrix).max() <= rho
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+    @pytest.mark.parametrize("stage, bound", [(ak.spectral_radius, 0.2), (ak.eigenvector_centrality, 0.3)],
+                             ids=["spectral_radius", "eigenvector_centrality"])
+    def test_a_reducible_matrix_is_not_copied(self, stage, bound, shuffled):
+        # Two dense symmetric 500-node classes with no edge between them. The
+        # first, two dense blocks joined by small weights, has roots near 600 and
+        # 400, so the bracket is still open at step 32, where the symmetry probe
+        # runs. Each product reads A in strips of one class's rows, in place or
+        # gathered where the nodes are shuffled; eigenvector_centrality's second
+        # run copies the 500 x 500 block of the top class, 0.25 of one N x N.
+        rng = np.random.default_rng(5)
+        first = np.full((500, 500), 0.01)
+        first[:300, :300] = first[300:, 300:] = 1.0
+        first += 0.01 * rng.random(first.shape)
+        second = rng.random((500, 500))
+        m = np.zeros((1000, 1000))
+        m[:500, :500], m[500:, 500:] = first + first.T, second + second.T
+        if shuffled:
+            order = rng.permutation(1000)
+            m = m[np.ix_(order, order)]
+        a = ak.AffinityMatrix(m)
+        with pytest.raises(ak.NonConvergence):
+            ak.spectral_radius(a, max_iter=32)
+        tracemalloc.start()
+        try:
+            result = stage(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * m.nbytes
+        rho = np.linalg.eigvalsh(m).max()
+        hi = result if stage is ak.spectral_radius else result.eigenvalue
+        assert rho <= hi <= rho * (1 + 1e-10)
+
+    def test_shuffled_classes_large_and_small(self):
+        # A 400-node class and sixty 10-node ones, their nodes shuffled: the
+        # large class is read in strips of its own rows, and runs of small ones
+        # in strips masked to the pairs within one class. A small class is on
+        # top, and heavy edges run from the large class to every small one, so
+        # a strip that read them would put hi near 3400.
+        rng = np.random.default_rng(8)
+        labels = rng.permutation(np.repeat(np.arange(61), [400] + [10] * 60))
+        large = labels == 0
+        m = rng.random((1000, 1000))
+        m = (m + m.T) * (labels[:, None] == labels) * np.where(large, 1.0, 100.0)
+        m = np.minimum(m, m.T)
+        roots = [np.linalg.eigvalsh(m[np.ix_(labels == c, labels == c)]).max() for c in range(61)]
+        m[np.ix_(large, ~large)] = 5.0
+        a = ak.AffinityMatrix(m)
+        hi = ak.spectral_radius(a)
+        assert max(roots) <= hi <= max(roots) * (1 + 1e-10)
+        ec = ak.eigenvector_centrality(a)
+        v = ec.values
+        keep = large | (labels == labels[np.argmax(v)])
+        assert np.all(v[~keep] == 0.0) and np.all(v[keep] > 0)
+        assert np.all(np.abs(m @ v - ec.eigenvalue * v) <= 1e-10 * ec.eigenvalue * v)
 
 
 def perron_root(m: np.ndarray) -> float:
