@@ -1,10 +1,9 @@
 """Float64 matrices as the JSON text that ``json.dumps(m.tolist(), indent=2)`` nests in a report.
 
 ``matrix_text(m)`` is the text that ``json.dumps(payload, indent=2)`` writes for
-a matrix value of a top-level key: every float in Python's ``repr`` spelling
-(``NaN`` and ``Infinity`` as JSON spells them), one per line, rows as indented
-lists. It is computed by whole-array numpy operations over blocks of rows, with
-no Python call per value:
+a matrix value of a top-level key: every float in Python's ``repr`` spelling,
+one per line, rows as indented lists. It is computed by whole-array numpy
+operations over blocks of rows, with no Python call per value:
 
 * The shortest round-trip digits of each value come from the Schubfach method
   (R. Giulietti, "The Schubfach way to render doubles", 2020), in the form of
@@ -19,6 +18,11 @@ no Python call per value:
   and up to three zeros, the digits after it, the exponent and the separator
   that follows the value. A byte the value does not use stays zero, and
   ``bytes.translate`` deletes them all at the end.
+
+The domain is finite float64 values. JSON has no NaN or Infinity (RFC 8259,
+section 6), and the one caller, ``attend``, prints only finite values: softmax
+weights in [0, 1] and a ``multi_head_attention`` output that is scanned before
+it returns. So no value is checked, and a non-finite one has no defined text.
 
 Every operand of the wrapping ``uint64`` arithmetic is a ``np.uint64`` (Python
 ints meet only ``int64`` arrays), so numpy 1.x value-based casting never turns
@@ -181,10 +185,8 @@ def _block_bytes(block: np.ndarray) -> bytes:
     rows, cols = block.shape
     bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
     magnitude = bits & _M63
-    special = magnitude >= _U(0x7FF << 52)
-    nan = magnitude > _U(0x7FF << 52)
-    # Zero and the non-finite values are spelled below; 1.0 stands in for them.
-    stand_in = special | (magnitude == _U(0))
+    # Zero is spelled below; 1.0 stands in for it.
+    stand_in = magnitude == _U(0)
     d, k = _shortest(np.where(stand_in, _U(0x3FF << 52), magnitude))
     if stand_in.any():
         d[stand_in], k[stand_in] = 0, 0
@@ -212,16 +214,12 @@ def _block_bytes(block: np.ndarray) -> bytes:
     trimmed[0] = words[0]
 
     # repr's rule: positional notation for 1e-4 <= |v| < 1e16, an exponent otherwise.
-    fixed = (decpt > -4) & (decpt <= 16) & ~special
-    exponent = ~fixed & ~special
+    fixed = (decpt > -4) & (decpt <= 16)
+    exponent = ~fixed
     # The digits before the point: all places below decpt, one in exponent form.
     shown = _SHOWN[:, np.where(fixed, np.maximum(decpt, 0), exponent.astype(np.int64))]
     words_before = words & shown
     words_after = trimmed & ~shown
-    if special.any():
-        for value, text in ((nan, "NaN"), (special & ~nan, "Infinity")):
-            words_before[0][value], words_before[1][value] = _words([text[:4], text[4:]])
-        words_after[0][special] = 0
     any_after = np.bitwise_or.reduce(words_after) != 0
     # ".000" before the digits of a small value, ".0" after an integral one, "." otherwise.
     small = fixed & (decpt <= 0)
@@ -234,7 +232,7 @@ def _block_bytes(block: np.ndarray) -> bytes:
     t8 = values.reshape(rows, cols, 64)
     t32 = values.view("<u4").reshape(rows, cols, 16)
     t64 = values.view("<u8").reshape(rows, cols, 8)
-    t8[..., 0] = ((bits > _M63) & ~nan) * np.uint8(ord("-"))
+    t8[..., 0] = (bits > _M63) * np.uint8(ord("-"))
     t8[..., 1] = small * np.uint8(ord("0"))
     for i in range(5):
         t32[..., 1 + i] = words_before[i]
@@ -248,7 +246,11 @@ def _block_bytes(block: np.ndarray) -> bytes:
 
 def matrix_text(matrix: np.ndarray) -> str:
     """``json.dumps(matrix.tolist(), indent=2)`` as nested one level deep, for a
-    matrix with at least one row and one column."""
+    matrix of finite values with at least one row and one column.
+
+    Non-finite values are not checked for: JSON cannot spell them, and no
+    caller passes one (see the module docstring).
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     step = block_rows(matrix.shape[1], _BLOCK_BYTES)
     pieces = [_OPEN]

@@ -242,10 +242,13 @@ def _seeded_projections(gen: Lcg, d_model: int, heads: int, d_k: int) -> Project
 
 def _dumps_indented(payload: dict) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` for a flat object whose values
-    are scalars or matrices with at least one row and one column.
+    are scalars or matrices of finite values with at least one row and one column.
 
     Matrices are rendered by ``_floattext.matrix_text``, whole arrays at a
-    time, to the same bytes; scalars and keys go through ``json.dumps``.
+    time, to the same bytes; scalars and keys go through ``json.dumps``. The
+    report is strict JSON, which has no NaN or Infinity: attend's matrices are
+    softmax weights and an output that ``multi_head_attention`` scans, so they
+    are finite and are not checked again here.
     """
     # Imported here: only attend loads the formatter.
     from ._floattext import matrix_text

@@ -21,6 +21,7 @@ from .errors import (
     NegativeEntries,
     NonConvergence,
     NonFiniteInput,
+    NumericError,
     ZeroDegreeRow,
 )
 
@@ -230,7 +231,11 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
     :func:`_strips` of the blocks; c is a tenth of the block's largest row sum,
     so a bipartite block's mode at -rho decays by 9/11 per step at any scale.
     Each step divides a class's x by its largest entry and floors it at 2^-600
-    of that entry, so x keeps its range whatever m's scale. For x > 0 and
+    of that entry, so x keeps its range whatever m's scale. Each product reads
+    x in units of 2^-s, s the least shift >= 0 that keeps y = m x below 2^1022
+    and so the step c x + y below 2^1023; y, c, lo and hi are in units of 2^s,
+    and lo and hi are scaled back on return. At s = 0 nothing is scaled. A rho
+    beyond the largest double raises :class:`NumericError`. For x > 0 and
     y = m x, hi = max y/x raised by (n + 2) eps, and lo = max over blocks of
     min y_K/x_K; with ``rayleigh`` and m symmetric, also of the blocks'
     Rayleigh quotients. Also returns a node of the block whose bound is lo; a
@@ -241,8 +246,12 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
     n = m.shape[0]
     count = int(labels.max()) + 1
     strips = _strips(labels, block_rows(n, _BLOCK_BYTES))
+    # Each row of m sums to less than n 2^e, e the exponent of m's largest entry.
+    s = max(0, int(np.frexp(m.max())[1]) + n.bit_length() + 1 - 1023)
 
     def product(x):  # one matrix-vector product on one block, else one per strip
+        if s:
+            x = np.ldexp(x, -s)
         if count == 1:
             return m @ x
         y = np.empty(n)
@@ -272,6 +281,10 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
             np.maximum(low, np.bincount(labels, x * y, count) / squares, out=low)
         lo = float(low.max())
         if hi - lo <= tol * hi:
+            try:
+                lo, hi = math.ldexp(lo, s), math.ldexp(hi, s)
+            except OverflowError:
+                raise NumericError(f"rho in {_bracket(lo, hi, s)} exceeds the largest double") from None
             return x, lo, hi, int(np.argmax(labels == low.argmax()))
         x = shift * x + y
         peak = np.zeros(count)  # each class by its largest entry; a zero class by 1
@@ -282,7 +295,12 @@ def _power(m: np.ndarray, labels: np.ndarray, tol: float, max_iter: int,
     where = (f"the class of node {node}, {np.count_nonzero(labels == labels[node])} nodes"
              if nodes is None else f"node {nodes[node]}, of the {n} nodes that reach the top class")
     raise NonConvergence(f"power iteration did not converge within {max_iter} iterations: "
-                         f"rho in [{lo!r}, {hi!r}]; hi is set by {where}")
+                         f"rho in {_bracket(lo, hi, s)}; hi is set by {where}")
+
+
+def _bracket(lo: float, hi: float, s: int) -> str:
+    """[lo, hi] in units of 2^s, as text."""
+    return f"[{lo!r}, {hi!r}]" + (f" * 2**{s}" if s else "")
 
 
 def _perron(m: np.ndarray, tol: float, max_iter: int,

@@ -14,16 +14,22 @@ from typing import Literal
 
 import numpy as np
 
-from ._validate import as_matrix, iteration_count, positive_int, shaped
+from ._validate import as_matrix, block_rows, iteration_count, positive_int, shaped
 from .affinity import AffinityMatrix
 from .errors import (
     DimensionMismatch,
     NegativeEntries,
     NonConvergence,
+    NumericError,
     SingularSystem,
     ZeroMatrix,
 )
 from .normalize import AlphaScaling, _perron
+
+# Bytes of float64 in each row block of PageRank's scaled row sums. At 1000
+# nodes on 2 cores the pass took 1.4 ms at 128 KiB and 1.3 ms at 1 MiB, but a
+# 1 MiB block is 0.36 of a 600-node A beside it, and 128 KiB is 0.05.
+_ROW_SUM_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,25 @@ def _horner(m: np.ndarray, alpha: float, start: np.ndarray, L: int) -> np.ndarra
     formed: with start = I that is L matrix products, with start = 1 (the
     row sums) L matrix-vector products. The step is a fixed map, so once X
     repeats bit for bit every later step does too, and the loop stops there.
+
+    Each product reads start + X in units of 2^-s, s the least shift >= 0
+    that keeps it below 2^1023, and alpha's product is scaled back, so a
+    finite alpha m (start + X) is formed even where m (start + X) is not a
+    double. Powers of two scale exactly: at s = 0 the bits are those of
+    alpha (m (start + X)).
     """
+    # |m x| < n 2^(e_m + e_x), e_m and e_x the exponents of m's and x's largest magnitudes.
+    excess = math.frexp(max(m.max(), -m.min()))[1] + len(m).bit_length() + 1 - 1023
     total = np.zeros_like(start)
     for _ in range(L):
-        previous, total = total, alpha * (m @ (start + total))
+        x = start + total
+        s = max(0, excess + math.frexp(max(x.max(), -x.min()))[1])
+        if s:
+            np.ldexp(x, -s, out=x)
+        previous, total = total, m @ x
+        total *= alpha
+        if s:
+            np.ldexp(total, s, out=total)
         if np.array_equal(total, previous):
             break
     return total
@@ -155,7 +176,7 @@ def path_scores(A: AffinityMatrix, scaling: AlphaScaling, length: int | None = N
     """
     m, alpha, ones = A.matrix, scaling.alpha, np.ones(A.n)
     if length is None:
-        return _shifted_solve(m, alpha, alpha * (m @ ones))
+        return _shifted_solve(m, alpha, _horner(m, alpha, ones, 1))
     return _horner(m, alpha, ones, positive_int(length, f"L must be a positive integer, got {length}"))
 
 
@@ -196,6 +217,17 @@ def pagerank(
     pi <- damping * pi P + (1 - damping) * u until the L1 change is at
     most ``tol``; since the update contracts by the damping factor, the
     returned vector's own stationarity gap is below tol as well.
+
+    The walk does not depend on A's scale, and neither do its operations:
+    row i is summed in 2^e_i, the power of two just above its largest entry,
+    row block by row block, so its sum r_i lies in [1/2, N). The walk
+    pi P = sum_i (pi_i / r_i) 2^-e_i m_i is formed as 2^-b ((pi / r) 2^(b - e) @ m),
+    with b the largest e_i clipped to [-500, 500] and to at most every
+    e_i + 1022: the product is at most 2^b, no weight overflows, and none
+    falls below 2^-970 of its pi_i / r_i, which needs the e_i to lie at most
+    1992 apart; rows further apart raise :class:`NumericError`. Powers of two
+    scale exactly, so where no scaled value is subnormal every step has the
+    bits of (pi / row sums) @ m.
     """
     m = A.matrix
     if m.min() < 0:
@@ -204,13 +236,25 @@ def pagerank(
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
     max_iter = iteration_count(tol, max_iter)
     n = m.shape[0]
-    row_sums = m.sum(axis=1)
+    exponents = np.frexp(m.max(axis=1))[1]
+    spread = int(exponents.max() - exponents.min())
+    if spread > 1992:
+        raise NumericError(f"PageRank weighs rows whose largest entries lie at most 2^1992 apart; "
+                           f"A's lie 2^{spread} apart")
+    row_sums = np.empty(n)
+    step = block_rows(n, _ROW_SUM_BYTES)
+    with np.errstate(under="ignore"):  # an entry far below its row's largest
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            row_sums[rows] = np.ldexp(m[rows], -exponents[rows, None]).sum(axis=1)
     dangling = row_sums == 0
     row_sums[dangling] = 1.0  # their rows of m are 0: pi P = (pi / row_sums) m + their mass / n
+    b = min(int(np.clip(exponents.max(), -500, 500)), int(exponents.min()) + 1022)
+    shifts = b - exponents
     uniform = np.ones(n) / n
     pi, change = uniform, math.inf
     for _ in range(max_iter):
-        walk = (pi / row_sums) @ m + pi[dangling].sum() / n
+        walk = np.ldexp(np.ldexp(pi / row_sums, shifts) @ m, -b) + pi[dangling].sum() / n
         updated = damping * walk + (1.0 - damping) * uniform
         change = float(np.abs(updated - pi).sum())
         if change <= tol:

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import affinitykit as ak
+from affinitykit import _validate
 from affinitykit.attention import _BLOCK_BYTES
 
 
@@ -535,15 +536,16 @@ def test_activation_is_scanned(name):
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_point_scans_no_square_matrix(name, monkeypatch):
     # N = 5 rows against width 4: only an N x N score or weight matrix is 5 x 5.
+    # Every scan is _validate._as_array: as_matrix and as_vector call it there,
+    # and AffinityMatrix through the name that affinity imports.
     scanned = []
-    for stage in ("affinity", "attention", "normalize", "propagate"):
-        module = sys.modules[f"affinitykit.{stage}"]
-        original = module.as_matrix
+    original = _validate._as_array
 
-        def recording(value, label="matrix", _original=original):
-            scanned.append(np.shape(value))
-            return _original(value, label)
+    def recording(value, name, ndim):
+        scanned.append(np.shape(value))
+        return original(value, name, ndim)
 
-        monkeypatch.setattr(module, "as_matrix", recording)
+    for module in (_validate, sys.modules["affinitykit.affinity"]):
+        monkeypatch.setattr(module, "_as_array", recording)
     ENTRY_POINTS[name](BOUNDARY_X)
     assert scanned and (5, 5) not in scanned

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -448,9 +447,10 @@ class TestAttendCommand:
         assert result.returncode == 2
 
 
-# JSON's corner floats: NaN and the infinities (spelled NaN and Infinity),
-# a signed zero, the least subnormal and a near-maximal magnitude.
-_JSON_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+# The formatter's domain is finite floats (JSON has no NaN or Infinity). Its corner
+# floats: a signed zero, the least subnormal and a near-maximal magnitude.
+_JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, 1e308]))
 
 
 @st.composite
@@ -485,7 +485,7 @@ def _json_rows(matrix: np.ndarray) -> str:
 
 
 def _sweep_values() -> np.ndarray:
-    """Over 10^6 seeded doubles at the formatter's hard cases."""
+    """Over 10^6 seeded finite doubles at the formatter's hard cases."""
     rng = np.random.default_rng(20201)
 
     def with_neighbours(v):
@@ -496,8 +496,9 @@ def _sweep_values() -> np.ndarray:
                              np.array([float(f"1e{e}") for e in range(-323, 309)])])
     boundaries = np.concatenate([np.linspace(0.9e-4, 1.1e-4, 20_000), np.linspace(0.9e-5, 1.1e-5, 20_000),
                                  np.linspace(0.9e16, 1.1e16, 20_000)])
+    bits = rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64)
     parts = [
-        rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),  # bit patterns
+        bits[np.isfinite(bits)],  # bit patterns, the non-finite ones dropped
         rng.integers(1, 2**52, 150_000, dtype=np.uint64).view(np.float64),  # subnormals
         np.arange(1, 20_001, dtype=np.uint64).view(np.float64),  # the least subnormals
         with_neighbours(powers),
@@ -506,7 +507,7 @@ def _sweep_values() -> np.ndarray:
         2.0**53 - np.arange(1, 10_001),
         with_neighbours(boundaries),
         rng.standard_normal(100_000),
-        np.array([0.0, -0.0, np.nan, np.inf, -np.inf]),
+        np.array([0.0, -0.0]),
     ]
     values = np.concatenate(parts)
     return np.where(rng.random(values.size) < 0.5, -values, values)
@@ -519,7 +520,7 @@ class TestMatrixText:
         width = 1000
         matrix = np.concatenate([values, np.zeros(-values.size % width)]).reshape(-1, width)
         text = matrix_text(matrix)
-        # json.dumps spells a float with float.__repr__, and NaN and the infinities as JSON does.
+        # json.dumps spells a finite float with float.__repr__.
         if text != _json_rows(matrix):
             spelled = [line.strip().rstrip(",") for line in text.splitlines() if line.startswith(" " * 6)]
             expected = [json.dumps(v) for v in matrix.ravel().tolist()]
@@ -761,6 +762,38 @@ class TestNumpyErrorState:
         code, out, err = run_main("attend", "--heads", "1", "--seed", "0", "--input", str(path))
         assert (code, out, err) == (
             2, "", "error: softmax scores contain NaN, +inf or a row with no finite entry\n")
+
+
+def strict_json(text: str):
+    """``json.loads`` that fails on ``NaN``, ``Infinity`` and ``-Infinity``, which JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestAttendWritesStrictJson:
+    """attend's report is strict JSON: every value it prints is finite."""
+
+    @pytest.mark.parametrize("case", ["golden", "span", "seeded_64x64"])
+    def test_report_parses_without_nan_or_infinity(self, tmp_path, case):
+        path, argv = tmp_path / "tokens.csv", ["--heads", "8", "--seed", "3"]
+        if case == "golden":
+            path, argv = TOKENS_FIXTURE, ["--heads", "2", "--seed", "7"]
+        elif case == "span":  # head-1 weights of exactly 0.0
+            path.write_text(SPAN_TOKENS)
+            argv = ["--heads", "1", "--seed", "0"]
+        else:
+            table = np.random.default_rng(64).standard_normal((64, 64))
+            np.savetxt(path, table, delimiter=",", header=",".join(["c"] * 64), comments="")
+        code, out, err = run_main("attend", *argv, "--input", str(path))
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        rows = len(payload["output"])
+        assert np.shape(payload["weights_head1"]) == (rows, rows)
+        if case == "golden":
+            assert out.encode() == ATTEND_GOLDEN.read_bytes()
+        if case == "span":
+            assert 0.0 in np.ravel(payload["weights_head1"])
 
 
 _SCALED_COMMANDS = [

@@ -600,6 +600,34 @@ class TestPerronAtExtremeScales:
         assert np.all(residual <= 1e-10 * lam * v + self.slack * (self.base @ v + lam * v))
 
 
+class TestPerronUpToTheLargestDouble:
+    """[[1, 1], [1, 0]] 1e308 has rho = 1.618e308, a double, though no row sum
+    is; a 4 x 4 full(5e307) has rho = 2e308, which is not a double."""
+
+    golden = np.array([[1e308, 1e308], [1e308, 0.0]])
+
+    def test_rho_vector_and_alpha_keep_the_bits_of_the_scaled_down_matrix(self):
+        small = ak.AffinityMatrix(np.ldexp(self.golden, -1000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = ak.AffinityMatrix(self.golden)
+            rho, cv, scaling = ak.spectral_radius(a), ak.eigenvector_centrality(a), ak.choose_alpha(a)
+        assert rho == math.ldexp(ak.spectral_radius(small), 1000)
+        assert_array_equal(cv.values, ak.eigenvector_centrality(small).values)
+        phi = (1 + math.sqrt(5)) / 2
+        assert_allclose(rho, phi * 1e308, rtol=1e-10)
+        assert_allclose(cv.values, np.array([phi, 1.0]) / math.hypot(phi, 1.0), rtol=1e-9)
+        assert scaling.rho == rho and scaling.alpha == 0.5 / rho
+
+    @pytest.mark.parametrize("stage", [ak.spectral_radius, ak.eigenvector_centrality, ak.choose_alpha])
+    def test_a_rho_past_the_largest_double_raises_one_numeric_error(self, stage):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ak.NumericError, match="exceeds the largest double") as info:
+                stage(ak.AffinityMatrix(np.full((4, 4), 5e307)))
+        assert type(info.value) is ak.NumericError
+
+
 class TestChooseAlpha:
     def test_zero_matrix_keeps_fraction(self):
         scaling = ak.choose_alpha(ak.AffinityMatrix(np.zeros((2, 2))), 0.5)

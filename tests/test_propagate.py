@@ -32,6 +32,8 @@ def matrix_path_scores(a: ak.AffinityMatrix, scaling: ak.AlphaScaling, length=No
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 CHAIN = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+# A directed graph of four nodes with no dangling row.
+LINKS = np.array([[0.0, 3, 1, 0], [1, 0, 2, 2], [4, 1, 0, 1], [1, 1, 1, 0]])
 STAR = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
@@ -255,6 +257,18 @@ class TestPathScores:
         with pytest.raises(ak.SingularSystem):
             scores(ak.AffinityMatrix(SWAP), forged)
 
+    @pytest.mark.parametrize("scores", PATHS)
+    @pytest.mark.parametrize("length", [None, 40])
+    def test_a_product_past_the_largest_double(self, scores, length):
+        # A 1 is not a double, but alpha A 1 is near 1: alpha = 3.09e-309 keeps 49 bits.
+        m = np.array([[1e308, 1e308], [1e308, 0.0]])
+        small = ak.AffinityMatrix(np.ldexp(m, -1000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = ak.AffinityMatrix(m)
+            got = scores(a, ak.choose_alpha(a), length)
+        assert_allclose(got, scores(small, ak.choose_alpha(small), length), rtol=1e-13)
+
     def test_series_stops_at_its_first_exact_repeat(self):
         # Each Horner step is a fixed map of t, so from the first step that
         # repeats t bit for bit on, every step does: L = 10^12 ends there, in a
@@ -391,6 +405,34 @@ class TestPagerank:
         message = str(info.value)
         assert message.startswith("PageRank did not converge within 1 iterations: last L1 change ")
         assert float(message.rsplit(" ", 1)[1]) > 1e-10
+
+    def test_a_row_sum_past_the_largest_double(self):
+        # Row 1 sums past the largest double, but the walk does not depend on A's scale.
+        top = np.ldexp(LINKS, 1021)
+        top[1, 2:] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ak.pagerank(ak.AffinityMatrix(top)).values
+        assert_array_equal(values, ak.pagerank(ak.AffinityMatrix(np.ldexp(top, -1021))).values)
+        assert_allclose(values, [0.2555, 0.2916, 0.2621, 0.1909], atol=5e-5)
+
+    @pytest.mark.parametrize("m, expected", [
+        (np.full((4, 4), 1e-320), np.full(4, 0.25)),
+        (np.ldexp(LINKS, -1030), ak.pagerank(ak.AffinityMatrix(LINKS)).values),
+        (np.full((4, 4), 1e308), np.full(4, 0.25)),
+    ], ids=["full_1e-320", "links_2^-1030", "full_1e308"])
+    def test_entries_at_either_end_of_the_range(self, m, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_array_equal(ak.pagerank(ak.AffinityMatrix(m)).values, expected)
+
+    def test_rows_too_far_apart_to_weigh_in_one_product_raise(self):
+        # The walk is (0.5, 0.5), but no one power of two keeps both rows' weights
+        # finite and normal: a silent wrong distribution is refused.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ak.NumericError, match="2\\^2097 apart"):
+                ak.pagerank(ak.AffinityMatrix(np.array([[0.0, 1e308], [5e-324, 0.0]])))
 
     def test_peak_memory_is_vectors_not_a_copy_of_the_matrix(self):
         # The sign check scans A's minimum, and each step is one matvec, so
