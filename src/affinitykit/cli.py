@@ -9,7 +9,8 @@ Subcommands:
 
 Reports go to stdout (or ``--output``); every error path prints exactly
 one diagnostic line to stderr and exits nonzero. Exit codes: 0 success,
-1 verification failure, 2 input error, 3 numeric error, 130 interrupted.
+1 verification failure, 2 input error, 3 numeric error, 130 interrupted
+(SIGINT), 143 terminated (SIGTERM).
 JSON numbers use Python's shortest round-trip float representation, so
 emitted scores parse back to the exact double that was computed.
 """
@@ -23,7 +24,9 @@ import io
 import itertools
 import json
 import math
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -48,6 +51,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for a run ended by Ctrl-C
+EXIT_TERMINATED = 143  # 128 + SIGTERM
+
+
+class _Terminated(BaseException):
+    """Raised by ``main``'s SIGTERM handler; like KeyboardInterrupt, no ``except Exception`` catches it."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 def _parse_cell(token: str, line: int, column: int) -> float:
@@ -74,13 +86,6 @@ _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 def _parse_row(row: list[str], line: int, width: int) -> list[float]:
     if len(row) != width:
         raise RaggedRows(f"line {line} has {len(row)} cells, expected {width}")
-    try:
-        values = list(map(float, row))
-        if all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    # Only a failing row is parsed cell by cell, to name its first bad cell.
     return [_parse_cell(tok, line, j + 1) for j, tok in enumerate(row)]
 
 
@@ -378,7 +383,12 @@ def _emit(report: str, output_path: str | None):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Only the main thread may set a handler; the caller's is put back on return.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.getsignal(signal.SIGTERM)
     try:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, _terminate)
         if args.command == "verify":
             report, passed, first_failure = run_verify(args)
             _emit(report, args.output_path)
@@ -397,6 +407,12 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        if on_main_thread:  # None: a handler set outside Python, which Python cannot put back
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -345,10 +345,14 @@ def choose_alpha(
 
     Since hi >= rho(A), alpha * rho(A) <= fraction is certified, and
     short of it by at most ``tol`` relative. rho = 0, as on a nilpotent A,
-    makes every alpha convergent, so the fraction itself is returned.
+    makes every alpha convergent, so the fraction itself is returned. A
+    subnormal rho whose alpha is beyond the largest double raises
+    :class:`NumericError`.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     rho = spectral_radius(A, tol=tol, max_iter=max_iter)
     alpha = fraction / rho if rho > 0 else fraction
+    if alpha == math.inf:
+        raise NumericError(f"alpha = fraction / rho = {fraction} / {rho} exceeds the largest double")
     return AlphaScaling(alpha=alpha, rho=rho)

@@ -1,8 +1,10 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +21,7 @@ from numpy.testing import assert_allclose
 import affinitykit as ak
 from affinitykit._floattext import matrix_text
 from affinitykit.cli import (
+    _append_rows,
     _parse_cell,
     _read_table,
     build_parser,
@@ -848,21 +851,46 @@ class TestInterrupt:
         monkeypatch.setattr("affinitykit.cli.build_corr_affinity", interrupted)
         assert run_main("rank", "--input", str(CORR_FIXTURE)) == (130, "", "error: interrupted\n")
 
-    def test_sigint_inside_a_stage_of_a_child(self):
-        # The child signals itself from inside the stage, so no timing is involved.
+    @staticmethod
+    def signal_inside_a_stage_of_a_child(name):
+        """(exit code, stdout, stderr) of a child ``rank`` whose affinity stage raises
+        signal ``name`` in itself, so no timing is involved."""
         script = (
             "import signal, sys\n"
             "from affinitykit import cli\n"
             "build = cli.build_corr_affinity\n"
             "def stage(*args):\n"
-            "    signal.raise_signal(signal.SIGINT)\n"
+            f"    signal.raise_signal(signal.{name})\n"
             "    return build(*args)\n"
             "cli.build_corr_affinity = stage\n"
             f"sys.exit(cli.main(['rank', '--input', {str(CORR_FIXTURE)!r}]))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 timeout=120)
-        assert (result.returncode, result.stdout, result.stderr) == (130, "", "error: interrupted\n")
+        return result.returncode, result.stdout, result.stderr
+
+    def test_sigint_inside_a_stage_of_a_child(self):
+        assert self.signal_inside_a_stage_of_a_child("SIGINT") == (130, "", "error: interrupted\n")
+
+    def test_sigterm_inside_a_stage_of_a_child(self):
+        assert self.signal_inside_a_stage_of_a_child("SIGTERM") == (143, "", "error: terminated\n")
+
+    def test_the_callers_sigterm_handler_is_back_after_a_call(self):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert run_main("rank", "--input", str(CORR_FIXTURE))[0] == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_a_call_off_the_main_thread_sets_no_handler(self):
+        # signal.signal raises ValueError off the main thread; main must not call it there.
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            code, out, err = pool.submit(run_main, "rank", "--input", str(CORR_FIXTURE)).result()
+        assert (code, err) == (0, "")
 
 
 def _read_table_per_cell(path, header):
@@ -943,3 +971,53 @@ class TestRowWiseIngest:
             warnings.simplefilter("error")  # a warning would be a second stderr line
             outcome = _outcome(_read_table, fuzz_path, header)
         assert outcome == _outcome(_read_table_per_cell, fuzz_path, header)
+
+
+def _benchmark_shaped_csv(path, samples, features, tied, quoted=False, newline="\n"):
+    """A seeded table as the benchmark writes it: normal columns by ``str``, with
+    every fifth column small integers when ``tied``. Returns the values."""
+    rng = np.random.default_rng([samples, features])
+    data = rng.standard_normal((samples, features))
+    if tied:
+        data[:, ::5] = rng.integers(0, 7, size=(samples, len(range(0, features, 5))))
+    rows = data.tolist()
+    if tied:
+        for row in rows:
+            row[::5] = map(int, row[::5])
+    cells = [[f"f{j}" for j in range(features)], *([str(v) for v in row] for row in rows)]
+    if quoted:
+        cells = [[f'"{cell}"' for cell in row] for row in cells]
+    path.write_bytes("".join(",".join(row) + newline for row in cells).encode("ascii"))
+    return data
+
+
+class TestRowLoopIsAFallback:
+    """numpy's reader parses every row of a clean table; the row loop runs only
+    from a chunk numpy rejects."""
+
+    @pytest.mark.parametrize("samples, features, tied, quoted, newline", [
+        (120, 1000, True, False, "\n"),
+        (2000, 200, True, False, "\n"),
+        (512, 512, False, False, "\n"),
+        (2000, 200, True, True, "\r\n"),
+    ], ids=["wide", "tall", "tokens", "tall_quoted_crlf"])
+    def test_a_clean_table_never_enters_the_row_loop(self, tmp_path, samples, features, tied,
+                                                      quoted, newline):
+        path = tmp_path / "table.csv"
+        data = _benchmark_shaped_csv(path, samples, features, tied, quoted, newline)
+        with mock.patch("affinitykit.cli._append_rows", side_effect=AssertionError) as loop:
+            first, body = _read_table(str(path), True)
+        assert loop.call_count == 0
+        assert first == [f"f{j}" for j in range(features)]
+        assert body.tobytes() == data.tobytes()
+
+    def test_an_underscore_sends_the_body_through_the_row_loop_once(self, tmp_path):
+        path = tmp_path / "table.csv"
+        _benchmark_shaped_csv(path, 2000, 200, True)
+        header, first_row, rest = path.read_text().split("\n", 2)
+        path.write_text("\n".join([header, "1_0" + first_row[first_row.index(","):], rest]))
+        with mock.patch("affinitykit.cli._append_rows", wraps=_append_rows) as loop:
+            outcome = _outcome(_read_table, path, True)
+        assert loop.call_count == 1
+        assert outcome[1] == (2000, 200)
+        assert outcome == _outcome(_read_table_per_cell, path, True)

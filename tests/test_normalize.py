@@ -587,9 +587,15 @@ class TestPerronAtExtremeScales:
         assert scaling.alpha * s * math.sqrt(5) <= 0.9 * (1 + self.slack)
 
     def test_choose_alpha_past_the_largest_float_is_refused(self):
-        # 0.9 / (sqrt(5) 1e-310) is above the largest float, so alpha is inf.
-        with pytest.raises(ak.ConvergenceBoundError, match="alpha \\* rho = inf"):
-            ak.choose_alpha(ak.AffinityMatrix(self.base * 1e-310), 0.9)
+        # 0.9 / (sqrt(5) 1e-310) is above the largest float: the error names that
+        # quotient and rho, not the product alpha * rho = inf it would lead to.
+        a = ak.AffinityMatrix(self.base * 1e-310)
+        with warnings.catch_warnings(), pytest.raises(ak.NumericError) as info:
+            warnings.simplefilter("error")
+            ak.choose_alpha(a, 0.9)
+        assert type(info.value) is ak.NumericError
+        assert str(info.value) == (f"alpha = fraction / rho = 0.9 / {ak.spectral_radius(a)} "
+                                   "exceeds the largest double")
 
     @pytest.mark.parametrize("s", scales)
     def test_eigenvector_centrality(self, s):
