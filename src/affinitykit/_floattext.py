@@ -188,13 +188,11 @@ def _block_bytes(block: np.ndarray) -> bytes:
     # Zero is spelled below; 1.0 stands in for it.
     stand_in = magnitude == _U(0)
     d, k = _shortest(np.where(stand_in, _U(0x3FF << 52), magnitude))
-    if stand_in.any():
-        d[stand_in], k[stand_in] = 0, 0
+    d[stand_in], k[stand_in] = 0, 0
     # s + 1 can reach 10^17: drop its trailing zero.
     carry = d >= _POW10[17]
-    if carry.any():
-        d[carry] //= _TEN
-        k += carry
+    d[carry] //= _TEN
+    k += carry
     width = np.searchsorted(_POW10, d, side="right")  # d's digit count, 0 for zero
     decpt = width + k  # the value is 0.DIGITS * 10^decpt; zero is "0." and the digit 0
     x = d * _POW10[17 - width]  # d's digits left-aligned in 17 places

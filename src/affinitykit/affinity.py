@@ -267,6 +267,14 @@ def _leaky_outer(source: np.ndarray, target: np.ndarray, slope: float) -> np.nda
     return np.maximum(scores, slope * scores, out=scores)
 
 
+def _gat_halves(H: np.ndarray, W: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scorer's halves (H W) a[:f] and (H W) a[f:], f = W's width, once W's rows match H."""
+    if W.shape[0] != H.shape[1]:
+        raise DimensionMismatch(f"W rows ({W.shape[0]}) must match H columns ({H.shape[1]})")
+    projected, f_out = H @ W, W.shape[1]
+    return projected @ a[:f_out], projected @ a[f_out:]
+
+
 def build_gat_scores(H, W, a, slope: float = 0.2) -> np.ndarray:
     """Concatenation scorer e_ij = LeakyReLU(a . [W h_i, W h_j]).
 
@@ -276,18 +284,10 @@ def build_gat_scores(H, W, a, slope: float = 0.2) -> np.ndarray:
     A score that overflows raises NonFiniteInput.
     """
     H, W, a = as_matrix(H, "H"), as_matrix(W, "W"), as_vector(a, "a")
-    if W.shape[0] != H.shape[1]:
-        raise DimensionMismatch(
-            f"W rows ({W.shape[0]}) must match H columns ({H.shape[1]})"
-        )
-    f_out = W.shape[1]
-    if a.shape[0] != 2 * f_out:
-        raise DimensionMismatch(
-            f"scorer vector has length {a.shape[0]}, expected {2 * f_out}"
-        )
+    if a.shape[0] != 2 * W.shape[1]:
+        raise DimensionMismatch(f"scorer vector has length {a.shape[0]}, expected {2 * W.shape[1]}")
     if not 0.0 < slope < 1.0:
         raise ValueError(f"LeakyReLU slope must lie in (0, 1), got {slope}")
     with np.errstate(over="ignore", invalid="ignore"):  # the scan below finds an overflow
-        projected = H @ W
-        scores = _leaky_outer(projected @ a[:f_out], projected @ a[f_out:], slope)
+        scores = _leaky_outer(*_gat_halves(H, W, a), slope)
     return as_matrix(scores, "GAT scores")

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _pool
 from ._validate import as_matrix, as_vector, block_rows, positive_int
-from .affinity import _leaky_outer, build_dot_product_affinity
+from .affinity import _gat_halves, _leaky_outer, build_dot_product_affinity
 from .errors import DimensionMismatch
 from .normalize import NeighborhoodMask, softmax_rows
 from .propagate import single_hop_aggregate
@@ -241,12 +241,9 @@ def non_local_block(
 
 def _gat_layer(h: np.ndarray, params: GatParams, mask: NeighborhoodMask, activation) -> np.ndarray:
     """softmax over mask.allowed of LeakyReLU(source_i + target_j), times h wprime."""
-    if params.w.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"W rows ({params.w.shape[0]}) must match H columns ({h.shape[1]})")
     if mask.n != h.shape[0]:
         raise DimensionMismatch(f"mask shape {mask.allowed.shape} does not match {h.shape[0]} nodes")
-    projected, f_out = h @ params.w, params.w.shape[1]
-    source, target = projected @ params.a[:f_out], projected @ params.a[f_out:]
+    source, target = _gat_halves(h, params.w, params.a)
     def weights(block):
         scores = _leaky_outer(source[block], target, params.slope)
         return softmax_rows(np.where(mask.allowed[block], scores, -np.inf))

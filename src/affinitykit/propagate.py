@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._validate import as_matrix, block_rows, iteration_count, positive_int, shaped
+from ._validate import as_matrix, iteration_count, positive_int, shaped
 from .affinity import AffinityMatrix
 from .errors import (
     DimensionMismatch,
@@ -24,12 +24,7 @@ from .errors import (
     SingularSystem,
     ZeroMatrix,
 )
-from .normalize import AlphaScaling, _perron
-
-# Bytes of float64 in each row block of PageRank's scaled row sums. At 1000
-# nodes on 2 cores the pass took 1.4 ms at 128 KiB and 1.3 ms at 1 MiB, but a
-# 1 MiB block is 0.36 of a 600-node A beside it, and 128 KiB is 0.05.
-_ROW_SUM_BYTES = 1 << 17
+from .normalize import AlphaScaling, _perron, _product_shift, _row_sums
 
 
 @dataclass(frozen=True)
@@ -102,24 +97,21 @@ def _horner(m: np.ndarray, alpha: float, start: np.ndarray, L: int) -> np.ndarra
     row sums) L matrix-vector products. The step is a fixed map, so once X
     repeats bit for bit every later step does too, and the loop stops there.
 
-    Each product reads start + X in units of 2^-s, s the least shift >= 0
-    that keeps it below 2^1023, and alpha's product is scaled back, so a
-    finite alpha m (start + X) is formed even where m (start + X) is not a
-    double. Powers of two scale exactly: at s = 0 the bits are those of
-    alpha (m (start + X)).
+    Each product reads start + X in units of 2^-s, s the
+    :func:`~affinitykit.normalize._product_shift` that keeps it below 2^1022,
+    and alpha's product is scaled back, so a finite alpha m (start + X) is
+    formed even where m (start + X) is not a double. Powers of two scale
+    exactly: at s = 0 the bits are those of alpha (m (start + X)).
     """
-    # |m x| < n 2^(e_m + e_x), e_m and e_x the exponents of m's and x's largest magnitudes.
-    excess = math.frexp(max(m.max(), -m.min()))[1] + len(m).bit_length() + 1 - 1023
+    e_m = math.frexp(max(m.max(), -m.min()))[1]  # |m| < 2^e_m
     total = np.zeros_like(start)
     for _ in range(L):
         x = start + total
-        s = max(0, excess + math.frexp(max(x.max(), -x.min()))[1])
-        if s:
-            np.ldexp(x, -s, out=x)
+        s = _product_shift(e_m, len(m), math.frexp(max(x.max(), -x.min()))[1])
+        np.ldexp(x, -s, out=x)
         previous, total = total, m @ x
         total *= alpha
-        if s:
-            np.ldexp(total, s, out=total)
+        np.ldexp(total, s, out=total)
         if np.array_equal(total, previous):
             break
     return total
@@ -220,7 +212,8 @@ def pagerank(
 
     The walk does not depend on A's scale, and neither do its operations:
     row i is summed in 2^e_i, the power of two just above its largest entry,
-    row block by row block, so its sum r_i lies in [1/2, N). The walk
+    by :func:`~affinitykit.normalize._row_sums`, the row measure the degree
+    normalizer shares, so its sum r_i lies in [1/2, N). The walk
     pi P = sum_i (pi_i / r_i) 2^-e_i m_i is formed as 2^-b ((pi / r) 2^(b - e) @ m),
     with b the largest e_i clipped to [-500, 500] and to at most every
     e_i + 1022: the product is at most 2^b, no weight overflows, and none
@@ -241,12 +234,7 @@ def pagerank(
     if spread > 1992:
         raise NumericError(f"PageRank weighs rows whose largest entries lie at most 2^1992 apart; "
                            f"A's lie 2^{spread} apart")
-    row_sums = np.empty(n)
-    step = block_rows(n, _ROW_SUM_BYTES)
-    with np.errstate(under="ignore"):  # an entry far below its row's largest
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            row_sums[rows] = np.ldexp(m[rows], -exponents[rows, None]).sum(axis=1)
+    row_sums = _row_sums(m, exponents)
     dangling = row_sums == 0
     row_sums[dangling] = 1.0  # their rows of m are 0: pi P = (pi / row_sums) m + their mass / n
     b = min(int(np.clip(exponents.max(), -500, 500)), int(exponents.min()) + 1022)

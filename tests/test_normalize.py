@@ -182,6 +182,21 @@ class TestSymDegreeNormalize:
         with pytest.raises(ak.ZeroDegreeRow):
             ak.sym_degree_normalize(ak.AffinityMatrix(np.array([[0.0, 0.0], [1.0, 0.0]])))
 
+    def test_a_zero_degree_row_fails_before_the_result_exists(self):
+        # The degrees are summed a block of rows at a time, so the check needs
+        # no N x N: the peak stays a small fraction of the result's size.
+        m = np.random.default_rng(3).random((1000, 1000))
+        m[700] = 0.0
+        a = ak.AffinityMatrix(m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ak.ZeroDegreeRow, match="^row 700 has zero weighted degree$"):
+                ak.sym_degree_normalize(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * m.nbytes
+
     def test_result_is_formed_in_one_buffer_with_the_formulas_bits(self):
         # About 1.4 times the result at N = 600: the quotient is formed in the
         # result's buffer, 1 MiB of sqrt(d_i d_j) at a time.
